@@ -174,21 +174,28 @@ def close(a: float, b: float) -> bool:
     return abs(a - b) <= REL_TOL * max(1.0, abs(a), abs(b))
 
 
-def cover_problems(name: str, n: int, cover, weights, dist: np.ndarray):
+def cover_problems(name: str, n: int, cover, weights, dist: np.ndarray, tick=None, ticks: int = 0):
     """Checks one cover against G; returns (problems, best tree distance matrix).
 
     Every tree is a spanning tree of G; no demanded pair is unresolved; every
     pair record meets min_T d_T <= d_G + 44 eps mu^level (in G's units); every
-    pair has stretch >= 1.
+    pair has stretch >= 1. ``tick`` is called exactly ``ticks`` times, spread
+    evenly over the trees, so a caller can interleave other work with the check.
     """
     problems = []
     best = np.full((n, n), np.inf)
+    ticked = 0
     for idx, tree in enumerate(cover.trees):
+        while ticked < ticks and idx * (ticks + 1) >= (ticked + 1) * len(cover.trees):
+            tick()
+            ticked += 1
         found = spanning_tree_problems(n, tree.edges, weights)
         if found:
             problems += [f"{name} tree {idx}: {p}" for p in found[:3]]
             continue
         np.minimum(best, RootedTree(n, tree.edges, weights, tree.root).all_distances(), out=best)
+    for _ in range(ticked, ticks):
+        tick()
     if problems:
         return problems, best
     pp = cover.hpf

@@ -138,9 +138,10 @@ class Tracer:
         def total(name):
             return float(dur[mask[name]].sum())
 
-        def mean_us(name):
-            k = calls(name)
-            return total(name) / k * 1e6 if k else 0.0
+        def median_us(name):
+            # a median: one call stalled by the collector or the host can
+            # outweigh thousands of others in a mean
+            return float(np.median(dur[mask[name]])) * 1e6 if calls(name) else 0.0
 
         def ratio(num, den):
             return num / den if den else 0.0
@@ -185,12 +186,12 @@ class Tracer:
             "cover.verify_spanning_s": (total("cover.verify_spanning"), "s"),
             "oracle.build_s": (total("oracle.build_oracle"), "s"),
             "oracle.trees_scanned_per_query": (ratio(c.get("trees_touched", 0), calls("oracle.query_path")), "count"),
-            "oracle.path_us": (mean_us("oracle.tree_path"), "us"),
+            "oracle.path_us": (median_us("oracle.tree_path"), "us"),
             "routing.tables_s": (total("routing.build_tree_routing"), "s"),
             "routing.labels_s": (total("routing.build_selection_labels"), "s"),
-            "routing.select_us": (mean_us("routing.select_tree"), "us"),
+            "routing.select_us": (median_us("routing.select_tree"), "us"),
             "routing.subhierarchies_scanned": (ratio(c.get("subhierarchies_scanned", 0), selects), "count"),
-            "routing.simulate_us": (mean_us("routing.simulate_route"), "us"),
+            "routing.simulate_us": (median_us("routing.simulate_route"), "us"),
             "routing.hops_mean": (ratio(c.get("hops", 0), routes_ok), "count"),
         }
 

@@ -41,8 +41,14 @@ SERVE = [("grid24", "grid", {"k": 24}, 0), ("rg256s1", "random_geometric", {"n":
 PROBE = [("grid8", "grid", {"k": 8}, 0)]
 PROBE_PAIRS = 1008
 PROBE_REPEATS = 4
+# at least this many probe shares per round: a workload with few builds
+# also serves shares from within each cover's check
+PROBE_SHARES = 16
 
-SETUP_REPEATS = 7
+SETUP_REPEATS = 16  # at least this many set-up repeats per run
+# untimed sends that refill the caches a build or a check has evicted,
+# before the timed sends of a share begin
+WARMUP_SENDS = 10
 SERVE_PAIRS = 1000  # ordered pairs u != v per serve instance
 PAIR_SEED = 20260  # the serve pairs do not depend on --seed
 # query_distance keeps the first tree that beats the running best by more
@@ -66,14 +72,27 @@ def generate_all(instances) -> dict:
     }
 
 
-def timed_setup(make):
-    """Run the set-up SETUP_REPEATS times; median time and the last result."""
-    times = []
-    for _ in range(SETUP_REPEATS):
-        t0 = clock()
-        out = make()
-        times.append(clock() - t0)
-    return statistics.median(times), out
+class Setup:
+    """The workload's set-up, timed once at the start and repeated at times
+    spread over the run. The host's speed drifts in stretches of seconds, so
+    repeats made only at the start would all see the start's speed; the
+    median of repeats spread over the run follows it as the other times do.
+    The first repeat's result is the one used."""
+
+    def __init__(self, make) -> None:
+        self.make = make
+        self.times: list[float] = []
+        self.value = self.again()
+
+    def again(self, repeats: int = 1):
+        for _ in range(repeats):
+            t0 = clock()
+            out = self.make()
+            self.times.append(clock() - t0)
+        return out
+
+    def seconds(self) -> float:
+        return statistics.median(self.times)
 
 
 def peak_rss_mb() -> float:
@@ -123,9 +142,14 @@ class Serving:
     """Closed loop from one caller over fixed pairs, in one seeded order:
     each pair is one query_path and one route_end_to_end operation.
 
-    Every pair is sent several times in a run, at different times, and its
-    latency is the fastest of its repeats, which keeps single stalls and
-    short slowdowns of a shared host out of the pair's figure.
+    Every pair is sent several times in a run, at different times spread
+    over the run, and its latency is the median of its repeats. The host's
+    speed drifts in stretches of seconds: the median of repeats spread over
+    the run follows the share of slow time in it, where the fastest repeat
+    jumps between the fast and the slow speed from run to run, and a single
+    stalled send does not move it, as it would move a mean. Each share
+    of sends starts with WARMUP_SENDS untimed ones, so that the caches a
+    build has evicted are not counted in the first timed sends.
     """
 
     def __init__(self, served: list[Served], seed: int) -> None:
@@ -134,14 +158,23 @@ class Serving:
         ops = [(i, k) for i, s in enumerate(served) for k in range(len(s.pairs))]
         perm = np.random.default_rng(seed).permutation(len(ops))
         self.order = [ops[j] for j in perm]
-        self.q_best = [np.full(len(s.pairs), np.inf) for s in served]
-        self.r_best = [np.full(len(s.pairs), np.inf) for s in served]
+        # per pair, the latency of each send; for routes, of each success
+        self.q_lat = [[[] for _ in s.pairs] for s in served]
+        self.r_lat = [[[] for _ in s.pairs] for s in served]
         self.answers = []
 
     def run(self, ops) -> None:
         query_path = oracle_mod.query_path
         route = routing_mod.route_end_to_end
         selection_error = routing_mod.SelectionError
+        ops = list(ops)
+        for i, k in ops[:WARMUP_SENDS]:
+            s = self.served[i]
+            query_path(s.oracle, s.g, *s.pairs[k])
+            try:
+                route(s.scheme, *s.pairs[k])
+            except selection_error:
+                pass
         for i, k in ops:
             s = self.served[i]
             u, v = s.pairs[k]
@@ -153,9 +186,9 @@ class Serving:
             except selection_error:
                 routed = None
             else:
-                self.r_best[i][k] = min(self.r_best[i][k], clock() - t1)
+                self.r_lat[i][k].append(clock() - t1)
                 routed = (trace, tidx)
-            self.q_best[i][k] = min(self.q_best[i][k], t1 - t0)
+            self.q_lat[i][k].append(t1 - t0)
             self.answers.append((i, k, path, est, idx, routed))
 
     def share(self, i: int) -> list[tuple[int, int]]:
@@ -172,16 +205,22 @@ class Serving:
         stretch, route_stretch = check_answers(self.served, self.answers, res, refs)
         sizes = [routing_mod.measure_sizes(s.scheme) for s in self.served]
 
-        # percentiles over pairs (routed pairs, for routes), taken per
-        # instance and averaged over the instances
-        def mean_of(best, q):
-            return float(np.mean([np.percentile(b[np.isfinite(b)] * 1e6, q) for b in best]))
+        # each pair's median latency in µs (routed pairs only, for routes)
+        def per_pair(lat):
+            return [np.array([np.median(x) for x in ls if x]) * 1e6 for ls in lat]
+
+        q_pair, r_pair = per_pair(self.q_lat), per_pair(self.r_lat)
+
+        # percentiles over pairs, taken per instance and averaged over the
+        # instances
+        def mean_of(pairs_us, q):
+            return float(np.mean([np.percentile(x, q) for x in pairs_us]))
 
         res.metrics.update(
-            oracle_query_us=(mean_of(self.q_best, 50), "us"),
-            oracle_query_p99_us=(mean_of(self.q_best, 99), "us"),
-            route_us=(mean_of(self.r_best, 50), "us"),
-            route_p99_us=(mean_of(self.r_best, 99), "us"),
+            oracle_query_us=(mean_of(q_pair, 50), "us"),
+            oracle_query_p99_us=(mean_of(q_pair, 99), "us"),
+            route_us=(mean_of(r_pair, 50), "us"),
+            route_p99_us=(mean_of(r_pair, 99), "us"),
             route_stretch_max=(route_stretch, "ratio"),
             label_bits_max=(max(x["label_bits_max"] for x in sizes), "bits"),
             table_bits_max=(max(x["table_bits_max"] for x in sizes), "bits"),
@@ -190,9 +229,9 @@ class Serving:
             served=[s.name for s in self.served],
             serve_build_s=self.build_s,
             sends_per_pair=len(self.answers) / sum(len(s.pairs) for s in self.served),
-            query_us_by_instance=[float(np.median(b)) * 1e6 for b in self.q_best],
-            route_us_by_instance=[float(np.median(b[np.isfinite(b)])) * 1e6 for b in self.r_best],
-            routed_pairs=[int(np.isfinite(b).sum()) for b in self.r_best],
+            query_us_by_instance=[float(np.median(x)) for x in q_pair],
+            route_us_by_instance=[float(np.median(x)) for x in r_pair],
+            routed_pairs=[len(x) for x in r_pair],
         )
         return stretch
 
@@ -268,9 +307,13 @@ def build_covers(instances, config: dict, seed, seconds, tracer, res: Result):
     """Whole rounds of one span_tree_cover call per instance, in seeded order,
     until ``seconds`` have passed; every cover is checked against the
     reference after its build, outside the timed call. The probe serves one
-    share of its sends before the first build, and one after each build and
-    each check."""
-    setup_s, graphs = timed_setup(lambda: generate_all(instances))
+    share of its sends before the first build, one after each build and one
+    after each check; with fewer than PROBE_SHARES / 2 instances it also
+    serves shares from within each check, so that its sends still spread over
+    the run. The set-up is repeated after each build of the first round."""
+    setup = Setup(lambda: generate_all(instances))
+    graphs = setup.value
+    setup_repeats = -(-SETUP_REPEATS // len(instances))
     graph_refs = {}
     for name, g in graphs.items():
         graph_refs[name] = (ref.edge_weights(g.edges), ref.graph_distances(g.n, g.edges))
@@ -285,10 +328,15 @@ def build_covers(instances, config: dict, seed, seconds, tracer, res: Result):
     round_times, round_trees, stretch = [], [], 0.0
     start = clock()
     probe_ops = probe.order * PROBE_REPEATS
+    check_ticks = max(0, -(-PROBE_SHARES // len(instances)) - 2)
     while True:
         build_s, trees = 0.0, 0
-        shares = iter(np.array_split(np.arange(len(probe_ops)), 2 * len(instances) + 1))
-        probe.run(probe_ops[j] for j in next(shares))
+        shares = iter(np.array_split(np.arange(len(probe_ops)), 1 + (2 + check_ticks) * len(instances)))
+
+        def send_share():
+            probe.run(probe_ops[j] for j in next(shares))
+
+        send_share()
         for i in rng.permutation(len(instances)):
             name = instances[i][0]
             g = graphs[name]
@@ -296,18 +344,20 @@ def build_covers(instances, config: dict, seed, seconds, tracer, res: Result):
             t0 = clock()
             cover = cover_mod.span_tree_cover(g, cfg)
             build_s += clock() - t0
-            probe.run(probe_ops[j] for j in next(shares))
+            send_share()
             res.attempted += 1
             trees += len(cover.trees)
             weights, dist = graph_refs[name]
-            problems, best = ref.cover_problems(name, g.n, cover, weights, dist)
+            problems, best = ref.cover_problems(name, g.n, cover, weights, dist, send_share, check_ticks)
             if cfg.check and not cover.diagnostics.get("nodes_checked", 0) > 0:
                 problems.append(f"{name}: cover reports no checked recursion node")
             res.problems += problems
             if not problems:
                 stretch = max(stretch, ref.stretch_max(best, dist))
             del cover, best
-            probe.run(probe_ops[j] for j in next(shares))
+            send_share()
+            if not round_times:
+                setup.again(setup_repeats)
         round_times.append(build_s)
         round_trees.append(trees)
         if clock() - start >= seconds:
@@ -316,7 +366,7 @@ def build_covers(instances, config: dict, seed, seconds, tracer, res: Result):
         res.problems.append(f"tree counts differ between rounds: {round_trees}")
     probe.report(res, tracer)
     res.metrics.update(
-        setup_s=(setup_s, "s"),
+        setup_s=(setup.seconds(), "s"),
         build_s=(statistics.median(round_times), "s"),
         trees=(round_trees[0], "count"),
         stretch_max=(stretch, "ratio"),
@@ -349,7 +399,10 @@ def serve(seed: int, seconds: float, tracer) -> Result:
         rng = np.random.default_rng(PAIR_SEED)
         return graphs, {name: draw_pairs(g.n, SERVE_PAIRS, rng) for name, g in graphs.items()}
 
-    setup_s, (graphs, pairs) = timed_setup(make)
+    # the set-up is repeated after each build and each round
+    setup = Setup(make)
+    graphs, pairs = setup.value
+    setup_repeats = SETUP_REPEATS // 4
     serving = Serving([Served(name, graphs[name], None, None, pairs[name]) for name, *_ in SERVE], seed)
     # The first round sends each instance's pairs right after its build, and
     # the checks' reference work runs between later rounds, so that the
@@ -357,16 +410,18 @@ def serve(seed: int, seconds: float, tracer) -> Result:
     sending = 0.0
     for i, s in enumerate(serving.served):
         serving.build_s += build(s)
+        setup.again(setup_repeats)
         sending += timed(serving.run, serving.share(i))
     refs, pending = [], list(serving.served)
     while sending < seconds:
         sending += timed(serving.run, serving.order)
+        setup.again(setup_repeats)
         if pending:
             refs.append(reference_for(pending.pop(0)))
     refs += [reference_for(s) for s in pending]
     stretch = serving.report(res, tracer, refs)
     res.metrics.update(
-        setup_s=(setup_s, "s"),
+        setup_s=(setup.seconds(), "s"),
         build_s=(serving.build_s, "s"),
         trees=(sum(len(s.scheme.cover.trees) for s in serving.served), "count"),
         stretch_max=(stretch, "ratio"),
