@@ -59,8 +59,11 @@ def _parse_pairs(spec: str | None, g: WeightedGraph, seed: int):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            u, v = line.split()[:2]
-            pairs.append((int(u), int(v)))
+            u, v = (int(x) for x in line.split()[:2])
+            for x in (u, v):
+                if not 0 <= x < g.n:
+                    raise ValueError(f"pairs file: vertex {x} outside range(0, {g.n})")
+            pairs.append((u, v))
     return pairs
 
 

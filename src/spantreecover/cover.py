@@ -276,7 +276,9 @@ def light_tree_cover(
 def cover_stretch(
     g: WeightedGraph, cover: TreeCover, pairs: Iterable[tuple[int, int]]
 ) -> dict:
-    """Min-over-trees stretch per pair, with max/mean summary."""
+    """Min-over-trees stretch per pair, with max/mean summary. Each pair's
+    tree is the smallest index attaining the exact minimum, as in
+    ``oracle.query_distance``."""
     import numpy as np
 
     oracles = cover.tree_oracles(g)
@@ -289,7 +291,7 @@ def cover_stretch(
     best_idx = np.full(len(pairs), -1, dtype=np.int64)
     for idx, t in enumerate(oracles):
         d = t.dist_many(us, vs)
-        take = d < best - 1e-12
+        take = d < best
         best[take] = d[take]
         best_idx[take] = idx
     table = [

@@ -1,5 +1,14 @@
 """Distance oracle over a tree cover: exact per-tree LCA queries, min-over-
-trees estimates, and path reporting by parent climbs in the argmin tree."""
+trees estimates, and path reporting by parent climbs in the argmin tree.
+
+Each tree of n vertices has an Euler tour of length M = 2n - 1 and a sparse
+table of L = bit_length(M) levels, whose entry [k, i] is the shallowest
+vertex among tour positions i .. i + 2^k - 1; an LCA is the shallower of two
+table reads. ``build_oracle`` stacks the tables of all T trees of a cover into
+one (T, L, M) int32 array, T·L·M entries, and each tree's ``TreeOracle``
+reads its own slice of it. ``query_distance`` then answers with one O(T) numpy
+pass over all trees: a fixed number of operations on length-T vectors.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +20,21 @@ import numpy as np
 from .graphs import WeightedGraph
 
 
+def _sparse_table(tour: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """(L, M) table; row k holds, from each tour position i, the shallowest
+    vertex over the 2^k positions starting at i (the tail past M - 2^k is
+    left unset and never read)."""
+    m = len(tour)
+    table = np.empty((m.bit_length(), m), dtype=np.int64)
+    table[0] = tour
+    for k in range(1, len(table)):
+        prev, half = table[k - 1], 1 << (k - 1)
+        width = m - (1 << k) + 1
+        left, right = prev[:width], prev[half : half + width]
+        table[k, :width] = np.where(depth[right] < depth[left], right, left)
+    return table
+
+
 class TreeOracle:
     """Euler tour + sparse-table RMQ: O(1) LCA and distance on one tree.
 
@@ -19,7 +43,7 @@ class TreeOracle:
     """
 
     __slots__ = (
-        "n", "root", "parent", "wdepth", "depth", "_first", "_tour", "_table", "_wd",
+        "n", "root", "parent", "wdepth", "depth", "_first", "_table", "_depth", "_wd",
     )
 
     def __init__(
@@ -72,34 +96,16 @@ class TreeOracle:
         self.depth = depth
         self._wd = np.asarray(wdepth)
         self._first = np.asarray(first, dtype=np.int64)
-        tour_depth = np.asarray([depth[v] for v in tour], dtype=np.int64)
-        tour_arr = np.asarray(tour, dtype=np.int64)
-        m = len(tour)
-        levels = max(1, m.bit_length())
-        table = np.empty((levels, m), dtype=np.int64)
-        table[0] = np.arange(m)
-        k = 1
-        while (1 << k) <= m:
-            prev = table[k - 1]
-            half = 1 << (k - 1)
-            left = prev[: m - (1 << k) + 1]
-            right = prev[half : half + m - (1 << k) + 1]
-            take_right = tour_depth[right] < tour_depth[left]
-            table[k, : m - (1 << k) + 1] = np.where(take_right, right, left)
-            k += 1
-        self._tour = tour_arr
-        self._table = (table, tour_depth)
+        self._depth = np.asarray(depth, dtype=np.int64)
+        self._table = _sparse_table(np.asarray(tour, dtype=np.int64), self._depth)
 
     def lca(self, u: int, v: int) -> int:
         a, b = int(self._first[u]), int(self._first[v])
         if a > b:
             a, b = b, a
-        span = b - a + 1
-        k = span.bit_length() - 1
-        table, tour_depth = self._table
-        i, j = table[k, a], table[k, b - (1 << k) + 1]
-        best = i if tour_depth[i] <= tour_depth[j] else j
-        return int(self._tour[best])
+        k = (b - a + 1).bit_length() - 1
+        i, j = self._table[k, a], self._table[k, b - (1 << k) + 1]
+        return int(i if self._depth[i] <= self._depth[j] else j)
 
     def dist(self, u: int, v: int) -> float:
         w = self.lca(u, v)
@@ -107,17 +113,14 @@ class TreeOracle:
 
     def dist_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorized tree distances for aligned vertex arrays."""
-        table, tour_depth = self._table
         a = self._first[us]
         b = self._first[vs]
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
-        span = hi - lo + 1
-        k = np.frexp(span)[1].astype(np.int64) - 1
-        i = table[k, lo]
-        j = table[k, hi - np.left_shift(1, k) + 1]
-        best = np.where(tour_depth[i] <= tour_depth[j], i, j)
-        lca = self._tour[best]
+        k = np.frexp(hi - lo + 1)[1] - 1
+        i = self._table[k, lo]
+        j = self._table[k, hi - np.left_shift(1, k) + 1]
+        lca = np.where(self._depth[i] <= self._depth[j], i, j)
         return self._wd[us] + self._wd[vs] - 2.0 * self._wd[lca]
 
     def path(self, u: int, v: int) -> list[int]:
@@ -133,27 +136,81 @@ class TreeOracle:
 
 @dataclass
 class OracleIndex:
+    """The LCA data of all T trees of a cover, stacked: ``first``, ``depth``
+    and ``wdepth`` are (n, T), so a vertex's values over all trees are one
+    contiguous row, and ``table`` is (T, L, M). ``trees[t]`` reads column or
+    slice t of these arrays."""
+
     trees: list[TreeOracle]
+    first: np.ndarray = field(repr=False)
+    table: np.ndarray = field(repr=False)
+    depth: np.ndarray = field(repr=False)
+    wdepth: np.ndarray = field(repr=False)
     params: dict = field(default_factory=dict)
     trees_touched: int = 0  # query-cost instrumentation
 
+    def __post_init__(self) -> None:
+        t, levels, m = self.table.shape
+        # per tree, the flat offset of its table; per span hi - lo, the
+        # offset of level k = floor(log2(hi - lo + 1)) and 2^k - 1
+        log = np.frexp(np.arange(1, m + 1))[1] - 1
+        self._tree_off = np.arange(t, dtype=np.int64) * (levels * m)
+        self._level_off = log * m
+        self._back = (1 << log) - 1
+        self._col = np.arange(t, dtype=np.int64)
+
 
 def build_oracle(g: WeightedGraph, cover) -> OracleIndex:
-    trees = [TreeOracle(g.n, t.edges, t.root, g) for t in cover.trees]
-    return OracleIndex(trees, dict(cover.params))
+    n, t = g.n, len(cover.trees)
+    m = 2 * n - 1
+    first = np.empty((n, t), dtype=np.int32)
+    table = np.empty((t, m.bit_length(), m), dtype=np.int32)
+    depth = np.empty((n, t), dtype=np.int32)
+    wdepth = np.empty((n, t))
+    trees = []
+    for j, tree in enumerate(cover.trees):
+        tor = TreeOracle(n, tree.edges, tree.root, g)
+        # copy the tree's arrays into the stack and point the tree at its
+        # slice, so that only the stacked copy stays alive
+        first[:, j], table[j], depth[:, j], wdepth[:, j] = (
+            tor._first, tor._table, tor._depth, tor._wd
+        )
+        tor._first, tor._table, tor._depth, tor._wd = (
+            first[:, j], table[j], depth[:, j], wdepth[:, j]
+        )
+        trees.append(tor)
+    return OracleIndex(trees, first, table, depth, wdepth, dict(cover.params))
 
 
 def query_distance(oracle: OracleIndex, u: int, v: int) -> tuple[float, int]:
-    """Minimum tree distance and the (smallest) tree index achieving it."""
+    """Minimum tree distance and the smallest tree index attaining it,
+    exactly: one numpy pass over all trees.
+
+    Raises ValueError for a vertex id outside range(n)."""
+    n = oracle.first.shape[0]
+    for x in (u, v):
+        if not 0 <= x < n:
+            raise ValueError(f"vertex {x} outside range(0, {n})")
     if u == v:
         return 0.0, 0
-    best, best_idx = None, -1
-    for idx, t in enumerate(oracle.trees):
-        oracle.trees_touched += 1
-        d = t.dist(u, v)
-        if best is None or d < best - 1e-12:
-            best, best_idx = d, idx
-    return best, best_idx
+    t = len(oracle.trees)
+    oracle.trees_touched += t
+    a, b = oracle.first[u], oracle.first[v]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    span = hi - lo
+    row = oracle._tree_off + oracle._level_off[span]
+    table = oracle.table.reshape(-1)
+    # flat indices x*T + tree in the (n, T) arrays of the two candidates for
+    # each tree's LCA; x*T stays below 2^31 in int32, since the (T, L, M)
+    # table that fits in memory has more than n*T entries
+    i = table[row + lo] * t + oracle._col
+    j = table[row + hi - oracle._back[span]] * t + oracle._col
+    depth = oracle.depth.reshape(-1)
+    at_lca = np.where(depth[i] <= depth[j], i, j)
+    wd = oracle.wdepth
+    d = wd[u] + wd[v] - 2.0 * wd.reshape(-1)[at_lca]
+    idx = int(np.argmin(d))
+    return float(d[idx]), idx
 
 
 def query_path(

@@ -141,6 +141,29 @@ def test_oracle_malformed_query(tmp_path, grid4_file):
     assert rc == 2
 
 
+@pytest.mark.parametrize("bad", [-1, 16])
+def test_oracle_out_of_range_query(tmp_path, grid4_file, capsys, bad):
+    cov = tmp_path / "cover.json"
+    main(["cover", "--graph", grid4_file, "--out", str(cov)])
+    q = tmp_path / "q.txt"
+    q.write_text(f"0 15\n{bad} 5\n")
+    rc = main(
+        ["oracle", "--graph", grid4_file, "--cover", str(cov),
+         "--queries", str(q), "--out", str(tmp_path / "ans.csv")]
+    )
+    assert rc == 2
+    assert f"vertex {bad} outside range(0, 16)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [-1, 16])
+def test_route_pairs_file_out_of_range(tmp_path, grid4_file, capsys, bad):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text(f"0 15\n5 {bad}\n")
+    rc = main(["route", "--graph", grid4_file, "--pairs", str(pairs)])
+    assert rc == 2
+    assert f"vertex {bad} outside range(0, 16)" in capsys.readouterr().err
+
+
 def test_usage_errors(tmp_path, grid4_file):
     assert main(["cover", "--graph", grid4_file, "--epsilon", "2.0"]) == 2
     assert main(["frobnicate"]) == 2

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import unit_path
-from spantreecover.cover import CoverConfig, cover_stretch, span_tree_cover
+from spantreecover.cover import (
+    CoverConfig,
+    SpanningTree,
+    TreeCover,
+    cover_stretch,
+    span_tree_cover,
+)
 from spantreecover.graphs import WeightedGraph, apsp, dijkstra, generate
 from spantreecover.oracle import (
     OracleIndex,
@@ -157,3 +163,77 @@ def test_query_path_adjacent_single_edge():
 def test_oracle_index_tree_count(grid8, grid8_cover):
     oracle = build_oracle(grid8, grid8_cover)
     assert len(oracle.trees) == len(grid8_cover.trees)
+
+
+def _reference_query(trees, u, v):
+    """The per-tree loop: exact minimum, first tree attaining it."""
+    ds = [t.dist(u, v) for t in trees]
+    best = min(ds)
+    return best, ds.index(best)
+
+
+def test_batched_estimate_exact_grid8(grid8, grid8_cover):
+    oracle = build_oracle(grid8, grid8_cover)
+    fresh = [TreeOracle(grid8.n, t.edges, t.root, grid8) for t in grid8_cover.trees]
+    for u in range(grid8.n):
+        for v in range(grid8.n):
+            if u != v:
+                assert query_distance(oracle, u, v) == _reference_query(fresh, u, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_batched_estimate_exact_random_covers(data):
+    # several random spanning trees with different roots over one vertex
+    # set; few distinct weights, so that trees often tie
+    n = data.draw(st.integers(min_value=1, max_value=24))
+    count = data.draw(st.integers(min_value=1, max_value=5))
+    weight = st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0, 1.5])
+    weights: dict = {}
+    trees = []
+    for _ in range(count):
+        order = data.draw(st.permutations(range(n)))
+        edges = []
+        for i in range(1, n):
+            p = order[data.draw(st.integers(min_value=0, max_value=i - 1))]
+            e = (min(p, order[i]), max(p, order[i]))
+            if e not in weights:
+                weights[e] = data.draw(weight)
+            edges.append(e)
+        root = data.draw(st.integers(min_value=0, max_value=n - 1))
+        trees.append(SpanningTree(sorted(edges), root, (0, 0)))
+    g = WeightedGraph(n, [(u, v, w) for (u, v), w in sorted(weights.items())])
+    oracle = build_oracle(g, TreeCover(trees, {}, 1.0))
+    fresh = [TreeOracle(n, t.edges, t.root, g) for t in trees]
+    assert oracle.table.shape == (count, (2 * n - 1).bit_length(), 2 * n - 1)
+    for u in range(n):
+        assert query_distance(oracle, u, u) == (0.0, 0)
+        for v in range(n):
+            if u != v:
+                assert query_distance(oracle, u, v) == _reference_query(fresh, u, v)
+
+
+def test_near_tie_smaller_tree_wins():
+    # the two trees' distances for (0, 2) differ by 5e-14, below any fixed
+    # tolerance of 1e-12: the smaller one must still win
+    g = WeightedGraph(3, [(0, 1, 1e-13), (1, 2, 1e-13), (0, 2, 1.5e-13)])
+    long_first = SpanningTree([(0, 1), (1, 2)], 0, (0, 0))
+    short = SpanningTree([(0, 1), (0, 2)], 0, (1, 0))
+    cover = TreeCover([long_first, short], {}, 1.0)
+    oracle = build_oracle(g, cover)
+    assert query_distance(oracle, 0, 2) == (1.5e-13, 1)
+    path, w, idx = query_path(oracle, g, 0, 2)
+    assert (path, w, idx) == ([0, 2], 1.5e-13, 1)
+    report = cover_stretch(g, cover, [(0, 2)])
+    assert report["table"] == [(0, 2, 1.0, 1)]
+
+
+@pytest.mark.parametrize("bad", [-1, 64])
+def test_query_rejects_out_of_range_vertex(grid8, grid8_cover, bad):
+    oracle = build_oracle(grid8, grid8_cover)
+    for u, v in ((bad, 5), (5, bad), (bad, bad)):
+        with pytest.raises(ValueError):
+            query_distance(oracle, u, v)
+        with pytest.raises(ValueError):
+            query_path(oracle, grid8, u, v)
+    assert oracle.trees_touched == 0
