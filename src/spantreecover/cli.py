@@ -189,7 +189,8 @@ def _assert_same_trees(a, b) -> None:
 
 def cmd_route(args) -> int:
     g = load_graph(args.graph)
-    scheme = build_routing_scheme(g, epsilon=args.epsilon, seed=args.seed)
+    cfg = _config_from_args(args)
+    scheme = build_routing_scheme(g, cfg.epsilon, config=cfg, seed=args.seed)
     pairs = _parse_pairs(args.pairs, g, args.seed)
     d = {u: dijkstra(g, u).dist for u in sorted({u for u, _ in pairs})}
     rows = []
@@ -257,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=True):
-        if graph:
-            p.add_argument("--graph", required=True)
+    def common(p):
+        """The graph, the cover configuration and the outputs."""
+        p.add_argument("--graph", required=True)
         p.add_argument("--epsilon", type=float, default=0.25)
         p.add_argument("--mu", type=float, default=6.0)
         p.add_argument("--eta", type=float, default=1.0)
@@ -305,8 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=cmd_route)
 
     po = sub.add_parser("oracle", help="answer distance/path queries")
-    common(po)
+    po.add_argument("--graph", required=True)
     po.add_argument("--cover", required=True)
+    po.add_argument("--out", default=None)
     po.add_argument("--queries", required=True)
     po.set_defaults(func=cmd_oracle)
     return ap

@@ -6,6 +6,19 @@ port number) let a route backtrack through early children when the target
 child fell outside the window. Across trees, per-vertex selection labels over
 compressed cluster hierarchies identify, from the two endpoint labels alone,
 a tree that approximately preserves the pair's distance.
+
+Both halves are built in time linear in the output. A tree's tables come
+from one DFS and one reverse-preorder pass, and each child's (interval,
+port) entry is one tuple shared by its parent's children window and its
+siblings' windows. Hierarchy copies share their base partition and differ
+only in their pair assignments, so the compressed subhierarchy of each
+(base hierarchy, top level) is built once as a template: tree shape, leaf
+stamps, depths, heavy children and every vertex's light steps. A copy then
+clones only its paired nodes and their ancestors, and rebuilds apex lists
+only for the vertices below a light child of a paired node; every other
+vertex keeps the template's list. Apex records are frozen and cached per
+(apex, child, pair). Records, apex lists and unpaired subtrees are shared
+between labels and subhierarchies, and are read-only.
 """
 
 from __future__ import annotations
@@ -84,7 +97,7 @@ def routing_beta(alpha: int, epsilon: float) -> int:
     return 2 * max(1, math.ceil(math.log2(1.0 / epsilon))) * alpha
 
 
-@dataclass
+@dataclass(slots=True)
 class VertexTable:
     interval: tuple[int, int]  # own DFS interval; interval[0] is own stamp
     parent_port: Optional[int]
@@ -110,17 +123,18 @@ def build_tree_routing(
     epsilon: float,
     beta: Optional[int] = None,
 ) -> TreeRoutingState:
-    """DFS-interval tables for one cover tree, minimum-weight edge first."""
+    """DFS-interval tables for one cover tree, minimum-weight edge first,
+    in time linear in n (plus sorting each vertex's tree edges)."""
     n = spanner.n
-    for u, v in tree.edges:
-        if not spanner.has_edge(u, v):
-            raise RoutingError(f"tree edge ({u},{v}) not in the spanner")
     if beta is None:
         beta = routing_beta(measure_alpha(spanner, epsilon), epsilon)
 
     adj: list[list[tuple[float, int]]] = [[] for _ in range(n)]
     for u, v in tree.edges:
-        w = spanner.weight(u, v)
+        try:
+            w = spanner.weight(u, v)
+        except KeyError:
+            raise RoutingError(f"tree edge ({u},{v}) not in the spanner") from None
         adj[u].append((w, v))
         adj[v].append((w, u))
     for lst in adj:
@@ -129,61 +143,59 @@ def build_tree_routing(
     root = tree.root
     tstamp = [-1] * n
     parent = [-1] * n
-    order: list[list[int]] = [[] for _ in range(n)]  # children, stamp order
-    clock = 0
-    stack = [(root, -1)]
+    preorder: list[int] = []
+    # weight of the last child stamped under each vertex: DFS child order
+    # must agree with nondecreasing edge weight
+    last_w = [-math.inf] * n
+    stack = [(root, -1, 0.0)]
     while stack:
-        u, p = stack.pop()
+        u, p, w = stack.pop()
         if tstamp[u] != -1:
             continue
-        tstamp[u] = clock
-        clock += 1
+        tstamp[u] = len(preorder)
+        preorder.append(u)
         parent[u] = p
         if p != -1:
-            order[p].append(u)
-        kids = [(w, v) for w, v in adj[u] if v != p]
-        for w, v in reversed(kids):
-            stack.append((v, u))
-    assert clock == n, "tree does not span the graph"
+            assert leq(last_w[p], w), f"child weights out of order at vertex {p}"
+            last_w[p] = w
+        for wv, v in reversed(adj[u]):
+            if v != p:
+                stack.append((v, u, wv))
+    assert len(preorder) == n, "tree does not span the graph"
 
-    # subtree intervals: max descendant timestamp, children-first
-    hi = [tstamp[u] for u in range(n)]
-    for u in sorted(range(n), key=lambda x: -tstamp[x]):
-        for c in order[u]:
-            hi[u] = max(hi[u], hi[c])
+    # subtree intervals: max descendant timestamp, children before parents
+    hi = tstamp[:]
+    for u in reversed(preorder):
+        p = parent[u]
+        if p != -1 and hi[u] > hi[p]:
+            hi[p] = hi[u]
     interval = [(tstamp[u], hi[u]) for u in range(n)]
 
-    # DFS child order must agree with nondecreasing edge weight
-    for u in range(n):
-        ws = [spanner.weight(u, c) for c in order[u]]
-        assert all(leq(a, b) for a, b in zip(ws, ws[1:])), (
-            f"child weights out of order at vertex {u}"
-        )
+    # one (interval, port) entry per child, in stamp order; the parent's
+    # children window and the earlier siblings' windows share the tuple
+    port = ports.ports
+    entries: list[list[tuple[tuple[int, int], int]]] = [[] for _ in range(n)]
+    rank = [0] * n  # position among the parent's children
+    for u in preorder[1:]:
+        p = parent[u]
+        rank[u] = len(entries[p])
+        entries[p].append((interval[u], port[(p, u)]))
 
     tables: list[VertexTable] = []
     for u in range(n):
+        kids = entries[u][:beta]
         p = parent[u]
-        kid_entries = [
-            (interval[c], ports.ports[(u, c)]) for c in order[u][:beta]
-        ]
         if p == -1:
-            tables.append(
-                VertexTable(interval[u], None, kid_entries, None, [])
-            )
+            tables.append(VertexTable(interval[u], None, kids, None, []))
             continue
-        sibs = order[p]
-        i = sibs.index(u)
-        sib_entries = [
-            (interval[s], ports.ports[(p, s)])
-            for s in sibs[i + 1 : i + 1 + beta]
-        ]
+        i = rank[u] + 1
         tables.append(
             VertexTable(
                 interval[u],
-                ports.ports[(u, p)],
-                kid_entries,
+                port[(u, p)],
+                kids,
                 interval[p],
-                sib_entries,
+                entries[p][i : i + beta],
             )
         )
     return TreeRoutingState(root, beta, tstamp, tables, parent)
@@ -240,7 +252,7 @@ class RouteTrace:
 # tree selection labels
 
 
-@dataclass
+@dataclass(slots=True)
 class SubNode:
     """One node of a compressed cluster hierarchy."""
 
@@ -255,7 +267,7 @@ class SubNode:
     heavy: int = -1  # heavy child index, -1 when none
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ApexRecord:
     depth: int
     interval: tuple[int, int]
@@ -264,43 +276,12 @@ class ApexRecord:
     pair: Optional[tuple[int, int]]  # L3
 
 
-@dataclass
+@dataclass(slots=True)
 class SelectionLabel:
-    # per subhierarchy: own leaf timestamp and the apex records
+    # per subhierarchy: own leaf timestamp and the apex records; records and
+    # apex lists are shared between vertices and hierarchy copies, read-only
     stamps: list[int]
     apices: list[list[ApexRecord]]
-
-
-def compressed_subhierarchy(copy, top_level: int, ell: int) -> SubNode:
-    """Cluster tree keeping every ell-th level below the given top, with
-    single-child chains contracted away."""
-    hier = copy.base
-
-    def build(level: int, cid: int) -> SubNode:
-        cluster = hier.clusters[cid]
-        if len(cluster.members) == 1:
-            (v,) = cluster.members
-            return SubNode(cluster.members, 0, leaf=v)
-        isub = max(level - ell, 0)
-        kid_ids = sorted({hier.cluster_at(v, isub) for v in cluster.members})
-        kids = [build(isub, k) for k in kid_ids]
-        if len(kids) == 1:
-            return kids[0]
-        node = SubNode(cluster.members, level, children=kids)
-        entry = copy.pairs.get((level, cid))
-        if entry is not None:
-            s1, s2 = entry[0], entry[1]
-            m1 = hier.clusters[s1].members
-            m2 = hier.clusters[s2].members
-            i1 = next(i for i, k in enumerate(kids) if k.members <= m1)
-            i2 = next(i for i, k in enumerate(kids) if k.members <= m2)
-            node.pair = (i1, i2)
-        return node
-
-    top = hier.levels[hier.i_max][0]
-    root = build(top_level, top)
-    _finalize(root)
-    return root
 
 
 def _finalize(root: SubNode) -> None:
@@ -331,47 +312,174 @@ def _finalize(root: SubNode) -> None:
             stack.append((k, depth + 1, False))
 
 
-def build_selection_labels(hpf, cover) -> tuple[list[SelectionLabel], list[SubNode]]:
-    """Per-vertex apex lists over every compressed subhierarchy; the
-    subhierarchy order matches the cover's tree order."""
-    n = hpf.graph.n
-    subs: list[SubNode] = []
-    for copy in hpf.copies:
-        for level in hpf.top_tree_levels(copy.base_index):
-            subs.append(compressed_subhierarchy(copy, level, hpf.ell))
-    assert len(subs) == len(cover.trees), "subhierarchy/tree count mismatch"
+class _Template:
+    """The compressed subhierarchy of one (base hierarchy, top level) with no
+    pairs assigned, and what each copy of that base needs to label its tree.
 
-    labels = [SelectionLabel([], []) for _ in range(n)]
-    for root in subs:
+    Copies share the base partition and differ only in their pairs, so the
+    tree shape, stamps, depths, heavy children and each vertex's light steps
+    are computed here once; ``instantiate`` adds one copy's pairs.
+    """
+
+    __slots__ = (
+        "hier", "root", "nodes", "parent", "rank", "index", "leaves",
+        "stamps", "trails", "apices", "records", "within",
+    )
+
+    def __init__(self, hier, top_level: int, ell: int, n: int) -> None:
+        """Keep every ell-th level below the given top, with single-child
+        chains contracted away."""
+        index: dict[tuple[int, int], SubNode] = {}
+
+        def build(level: int, cid: int) -> SubNode:
+            cluster = hier.clusters[cid]
+            if len(cluster.members) == 1:
+                (v,) = cluster.members
+                return SubNode(cluster.members, 0, leaf=v)
+            isub = max(level - ell, 0)
+            kid_ids = sorted({hier.cluster_at(v, isub) for v in cluster.members})
+            kids = [build(isub, k) for k in kid_ids]
+            if len(kids) == 1:
+                return kids[0]
+            node = SubNode(cluster.members, level, children=kids)
+            index[(level, cid)] = node
+            return node
+
+        root = build(top_level, hier.levels[hier.i_max][0])
+        _finalize(root)
+
+        # internal nodes in preorder, each with its parent and its rank among
+        # the parent's children; per vertex, its leaf stamp and the light
+        # steps (apex node, child index) from the root down
+        nodes: list[SubNode] = []
+        parent: list[int] = []
+        rank: list[int] = []
+        leaves = [-1] * n  # vertex by leaf stamp
         stamps = [-1] * n
-        apex_lists: list[list[ApexRecord]] = [[] for _ in range(n)]
-
-        def walk(node: SubNode, trail: list[tuple[SubNode, int]]) -> None:
+        trails: list[tuple[tuple[int, int], ...]] = [()] * n
+        stack: list[tuple[SubNode, int, int, tuple]] = [(root, -1, 0, ())]
+        while stack:
+            node, p, r, trail = stack.pop()
             if node.leaf is not None:
                 stamps[node.leaf] = node.tmin
-                recs = []
-                for parent, idx in trail:
-                    child = parent.children[idx]
-                    if idx != parent.heavy:  # light child: parent is an apex
-                        recs.append(
-                            ApexRecord(
-                                parent.depth,
-                                (parent.tmin, parent.tmax),
-                                idx,
-                                parent.heavy,
-                                parent.pair,
-                            )
-                        )
-                apex_lists[node.leaf] = recs
-                return
-            for i, k in enumerate(node.children):
-                walk(k, trail + [(node, i)])
-
-        walk(root, [])
+                leaves[node.tmin] = node.leaf
+                trails[node.leaf] = trail
+                continue
+            k = len(nodes)
+            nodes.append(node)
+            parent.append(p)
+            rank.append(r)
+            for i in range(len(node.children) - 1, -1, -1):
+                step = trail if i == node.heavy else trail + ((k, i),)
+                stack.append((node.children[i], k, i, step))
         for v in range(n):
             assert stamps[v] >= 0, f"vertex {v} missing from a subhierarchy"
-            labels[v].stamps.append(stamps[v])
-            labels[v].apices.append(apex_lists[v])
+
+        at = {id(node): k for k, node in enumerate(nodes)}
+        self.hier = hier
+        self.root = root
+        self.nodes = nodes
+        self.parent = parent
+        self.rank = rank
+        self.index = {key: at[id(node)] for key, node in index.items()}
+        self.leaves = leaves
+        self.stamps = stamps
+        self.trails = trails
+        self.records: dict[tuple, ApexRecord] = {}
+        self.within: dict[tuple[int, int], int] = {}
+        self.apices = [[self.record(k, i, None) for k, i in t] for t in trails]
+
+    def record(
+        self, k: int, i: int, pair: Optional[tuple[int, int]]
+    ) -> ApexRecord:
+        """The shared apex record of node k reached through child i."""
+        rec = self.records.get((k, i, pair))
+        if rec is None:
+            node = self.nodes[k]
+            rec = ApexRecord(node.depth, (node.tmin, node.tmax), i, node.heavy, pair)
+            self.records[(k, i, pair)] = rec
+        return rec
+
+    def child_within(self, k: int, sub: int) -> int:
+        """Index of node k's child that lies inside subcluster ``sub``."""
+        i = self.within.get((k, sub))
+        if i is None:
+            members = self.hier.clusters[sub].members
+            kids = self.nodes[k].children
+            i = next(j for j, kid in enumerate(kids) if kid.members <= members)
+            self.within[(k, sub)] = i
+        return i
+
+    def instantiate(
+        self, pairs: dict
+    ) -> tuple[SubNode, list[list[ApexRecord]]]:
+        """One copy's subhierarchy and per-vertex apex lists.
+
+        Only the paired nodes and their ancestors are cloned; every other
+        subtree is the template's own. Only vertices below a light child of a
+        paired node get a new apex list; the rest share the template's."""
+        paired: dict[int, tuple[int, int]] = {}
+        for key, entry in pairs.items():
+            k = self.index.get(key)
+            if k is not None:
+                paired[k] = (self.child_within(k, entry[0]), self.child_within(k, entry[1]))
+        if not paired:
+            return self.root, self.apices
+
+        need: set[int] = set()
+        for k in paired:
+            while k != -1 and k not in need:
+                need.add(k)
+                k = self.parent[k]
+        clones: dict[int, SubNode] = {}
+        for k in sorted(need):  # preorder: parents first
+            node = self.nodes[k]
+            clone = SubNode(
+                node.members, node.level, node.children[:], paired.get(k),
+                None, node.tmin, node.tmax, node.depth, node.heavy,
+            )
+            clones[k] = clone
+            if k:
+                clones[self.parent[k]].children[self.rank[k]] = clone
+
+        affected: set[int] = set()
+        for k in paired:
+            node = self.nodes[k]
+            for i, kid in enumerate(node.children):
+                if i != node.heavy:
+                    affected.update(self.leaves[kid.tmin : kid.tmax + 1])
+        apices = self.apices[:]
+        for v in affected:
+            apices[v] = [
+                self.record(k, i, paired.get(k)) for k, i in self.trails[v]
+            ]
+        return clones[0], apices
+
+
+def build_selection_labels(hpf, cover) -> tuple[list[SelectionLabel], list[SubNode]]:
+    """Per-vertex apex lists over every compressed subhierarchy; the
+    subhierarchy order matches the cover's tree order. One template is built
+    per (base hierarchy, top level) and instantiated once per copy."""
+    n = hpf.graph.n
+    templates: dict[tuple[int, int], _Template] = {}
+    subs: list[SubNode] = []
+    stamps: list[list[int]] = []
+    apices: list[list[list[ApexRecord]]] = []
+    for copy in hpf.copies:
+        for level in hpf.top_tree_levels(copy.base_index):
+            tpl = templates.get((copy.base_index, level))
+            if tpl is None:
+                tpl = _Template(copy.base, level, hpf.ell, n)
+                templates[(copy.base_index, level)] = tpl
+            root, lists = tpl.instantiate(copy.pairs)
+            subs.append(root)
+            stamps.append(tpl.stamps)
+            apices.append(lists)
+    assert len(subs) == len(cover.trees), "subhierarchy/tree count mismatch"
+    labels = [
+        SelectionLabel([s[v] for s in stamps], [a[v] for a in apices])
+        for v in range(n)
+    ]
     return labels, subs
 
 

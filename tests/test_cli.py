@@ -168,3 +168,67 @@ def test_usage_errors(tmp_path, grid4_file):
     assert main(["cover", "--graph", grid4_file, "--epsilon", "2.0"]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["cover", "--graph", str(tmp_path / "missing.txt")]) == 2
+
+
+@pytest.mark.parametrize("cover_k,graph_k", [(3, 4), (4, 3)])
+def test_oracle_cover_graph_mismatch(tmp_path, capsys, cover_k, graph_k):
+    files = {}
+    for k in {cover_k, graph_k}:
+        files[k] = tmp_path / f"grid{k}.txt"
+        assert main(["generate", "grid", str(k), "--out", str(files[k])]) == 0
+    cov = tmp_path / "cover.json"
+    assert main(["cover", "--graph", str(files[cover_k]), "--out", str(cov)]) == 0
+    q = tmp_path / "q.txt"
+    q.write_text("0 1\n")
+    rc = main(
+        ["oracle", "--graph", str(files[graph_k]), "--cover", str(cov),
+         "--queries", str(q)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    n = graph_k * graph_k
+    assert f"error: cover tree 0 has {cover_k * cover_k - 1} edges" in err
+    assert f"graph's {n} vertices has {n - 1}" in err
+
+
+def test_oracle_tree_edge_not_in_graph(tmp_path, capsys, grid4_file):
+    cov = tmp_path / "cover.json"
+    assert main(["cover", "--graph", grid4_file, "--out", str(cov)]) == 0
+    doc = json.loads(cov.read_text())
+    doc["trees"][2]["edges"][0] = [0, 5]  # a diagonal: not a grid edge
+    cov.write_text(json.dumps(doc))
+    q = tmp_path / "q.txt"
+    q.write_text("0 1\n")
+    rc = main(
+        ["oracle", "--graph", grid4_file, "--cover", str(cov), "--queries", str(q)]
+    )
+    assert rc == 2
+    assert "error: cover tree 2: edge (0, 5) is not in the graph" in capsys.readouterr().err
+
+
+def test_route_config_flags_validated(grid4_file, capsys):
+    assert main(["route", "--graph", grid4_file, "--mu", "1"]) == 2
+    assert "mu must be at least 2" in capsys.readouterr().err
+
+
+def test_route_config_flags_take_effect(tmp_path, grid4_file):
+    stats = {}
+    for mode in ("demand", "exhaustive"):
+        p = tmp_path / f"{mode}.json"
+        rc = main(["route", "--graph", grid4_file, "--mode", mode, "--stats", str(p)])
+        assert rc == 0
+        stats[mode] = json.loads(p.read_text())
+    assert stats["demand"]["num_trees"] != stats["exhaustive"]["num_trees"]
+
+
+def test_oracle_rejects_cover_flags(tmp_path, grid4_file, capsys):
+    cov = tmp_path / "cover.json"
+    assert main(["cover", "--graph", grid4_file, "--out", str(cov)]) == 0
+    q = tmp_path / "q.txt"
+    q.write_text("0 15\n")
+    rc = main(
+        ["oracle", "--graph", grid4_file, "--cover", str(cov), "--queries", str(q),
+         "--mu", "8"]
+    )
+    assert rc == 2
+    assert "unrecognized arguments: --mu 8" in capsys.readouterr().err

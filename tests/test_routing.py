@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from spantreecover.graphs import WeightedGraph, apsp, generate, greedy_spanner
 from spantreecover.oracle import TreeOracle
 from spantreecover.routing import (
     RouteTrace,
+    RoutingError,
     RoutingScheme,
     SelectionError,
     _lca_record,
@@ -89,6 +91,31 @@ def path_state(n, beta=None):
     tree = SpanningTree([(i, i + 1) for i in range(n - 1)], 0, (0, 0))
     ports = assign_ports(g, seed=3)
     return g, ports, build_tree_routing(tree, g, ports, EPS, beta=beta)
+
+
+def test_tree_edge_outside_spanner_rejected():
+    g = unit_path(4)
+    tree = SpanningTree([(0, 1), (1, 2), (1, 3)], 0, (0, 0))
+    with pytest.raises(RoutingError, match=r"tree edge \(1,3\) not in the spanner"):
+        build_tree_routing(tree, g, assign_ports(g, seed=3), EPS, beta=2)
+
+
+def test_star_intervals_and_sibling_windows():
+    # children stamped in weight order; each sibling window is the next
+    # beta siblings, holding the parent's port toward each of them
+    beta = 2
+    g = star([float(i + 1) for i in range(5)])
+    tree = SpanningTree(sorted((0, i) for i in range(1, g.n)), 0, (0, 0))
+    ports = assign_ports(g, seed=5)
+    state = build_tree_routing(tree, g, ports, EPS, beta=beta)
+    assert state.tstamp == list(range(6))
+    assert state.tables[0].interval == (0, 5)
+    for c in range(1, 6):
+        tab = state.tables[c]
+        assert tab.interval == (c, c) and tab.parent_interval == (0, 5)
+        assert tab.siblings == [
+            ((s, s), ports.ports[(0, s)]) for s in range(c + 1, min(c + beta, 5) + 1)
+        ]
 
 
 def test_path_tables_single_child():
@@ -319,3 +346,37 @@ def test_path_tables_constant_size():
     for tab in state.tables:
         assert len(tab.children) <= 1
         assert len(tab.siblings) <= 1
+
+
+# pinned output ---------------------------------------------------------
+
+
+def routing_digest(scheme):
+    """SHA-256 of a canonical dump of every tree's tables and every label."""
+    h = hashlib.sha256()
+    for st in scheme.states:
+        tables = [
+            (t.interval, t.parent_port, t.children, t.parent_interval, t.siblings)
+            for t in st.tables
+        ]
+        h.update(repr((st.tstamp, st.parent, tables)).encode())
+    for lab in scheme.labels:
+        apices = [
+            [(r.depth, r.interval, r.child_of_x, r.heavy_child, r.pair) for r in recs]
+            for recs in lab.apices
+        ]
+        h.update(repr((lab.stamps, apices)).encode())
+    return h.hexdigest()
+
+
+def test_routing_output_pinned_grid8(grid8_scheme):
+    assert routing_digest(grid8_scheme) == (
+        "02ce4dc8579aa5ea8f3705efc9713c4e3aa8ed9fa93b1654f3c31f289969264c"
+    )
+
+
+def test_routing_output_pinned_rg64s1():
+    scheme = build_routing_scheme(generate("random_geometric", {"n": 64}, seed=1))
+    assert routing_digest(scheme) == (
+        "9d6513119f72d0ffab86e91f32094a6a9a76a69a4caeec0703ee65de0262dd16"
+    )
