@@ -75,7 +75,6 @@ def _config_from_args(args) -> CoverConfig:
         eta=args.eta,
         mode=args.mode,
         seed=args.seed,
-        theory_mode=(args.mode == "theory"),
     )
     cfg.validate()
     return cfg
@@ -296,9 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--light", action="store_true")
     pc.set_defaults(func=cmd_cover)
 
+    # verify rebuilds from the parameters stored in the cover
     pv = sub.add_parser("verify", help="re-check a stored cover")
-    common(pv)
+    pv.add_argument("--graph", required=True)
     pv.add_argument("--cover", required=True)
+    pv.add_argument("--stats", default=None)
     pv.set_defaults(func=cmd_verify)
 
     pr = sub.add_parser("route", help="build a routing scheme and simulate")

@@ -63,7 +63,6 @@ class CoverConfig:
     seed: int = 42
     sample_size: int = 10_000
     check: bool = True
-    theory_mode: bool = False
 
     def validate(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
@@ -232,7 +231,7 @@ def span_tree_cover(g: WeightedGraph, config: CoverConfig) -> TreeCover:
             top = copy.base.levels[copy.base.i_max][0]
             edges, verts = path_preserving_tree(
                 gs, copy, top, level, [], pp.ell, pp.mu, pp.epsilon,
-                check=config.check, theory_mode=config.theory_mode,
+                check=config.check, theory_mode=config.mode == "theory",
                 diagnostics=diagnostics, memo=memo, dists=dists,
                 path_cache=path_cache,
             )

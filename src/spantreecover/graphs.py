@@ -1,8 +1,11 @@
 """Weighted-graph core: storage, I/O, shortest paths, spanners, nets, generators.
 
 Graphs are undirected with positive edge weights. Vertices are 0..n-1.
-All algorithms here are deterministic: ties on equal float keys are broken
-by vertex id and then edge id, with a fixed absolute tolerance.
+All algorithms here are deterministic, with a fixed absolute tolerance on
+float comparisons. ``dijkstra`` is the one vertex shortest-path kernel of
+the package; it settles vertices in (distance, vertex id) order, and of two
+equal-length parents (within tolerance) the one with the smaller vertex id
+wins.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import heapq
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -186,12 +189,15 @@ def save_graph(g: WeightedGraph, path: str) -> None:
 
 @dataclass
 class ShortestPathTree:
-    """Result of a single-source run: distances plus deterministic parents."""
+    """Result of a single-source run: distances plus deterministic parents.
+
+    ``reached`` is the vertex of ``stop`` the run ended at, or None.
+    """
 
     source: int
     dist: list[float]
     parent: list[int]
-    parent_edge: list[int]
+    reached: Optional[int] = None
 
     def path_to(self, v: int) -> list[int]:
         """Vertex sequence source..v; raises if v is unreachable."""
@@ -209,46 +215,63 @@ def dijkstra(
     source: int,
     restrict: Optional[Iterable[int]] = None,
     cutoff: float = INF,
+    stop: Optional[Container[int]] = None,
+    paths: Iterable[Sequence[int]] = (),
 ) -> ShortestPathTree:
     """Single-source shortest paths with deterministic tie-breaking.
 
     When two paths to v tie in length (within tolerance), the parent with the
-    smaller vertex id wins, then the smaller edge id. ``restrict`` limits the
-    search to an induced vertex subset (which must contain the source).
-    ``cutoff`` stops expansion beyond that distance.
+    smaller vertex id wins. ``restrict`` limits the search to the subgraph
+    induced by a vertex subset; the edges of ``paths`` are usable besides it,
+    so a path vertex outside ``restrict`` is entered and left only along its
+    path. The source must lie in ``restrict`` or on one of ``paths``. The run
+    ends at the first vertex of ``stop`` it settles, stored as ``reached``;
+    vertices farther than ``cutoff`` are not expanded.
     """
     allowed = None if restrict is None else (restrict if isinstance(restrict, (set, frozenset)) else set(restrict))
-    if allowed is not None and source not in allowed:
+    extra: dict[int, list[tuple[int, float, int]]] = {}
+    for path in paths:
+        for v in path:
+            extra.setdefault(v, [])
+        for a, b in zip(path, path[1:]):
+            w = g.weight(a, b)
+            extra[a].append((b, w, -1))
+            extra[b].append((a, w, -1))
+    if allowed is not None and source not in allowed and source not in extra:
         raise ValueError("source outside restriction set")
     dist = [INF] * g.n
     parent = [-1] * g.n
-    pedge = [-1] * g.n
     dist[source] = 0.0
     done = [False] * g.n
+    reached = None
     heap: list[tuple[float, int]] = [(0.0, source)]
     while heap:
         d, u = heapq.heappop(heap)
         if done[u] or d > dist[u] + TOL:
             continue
         done[u] = True
+        if stop is not None and u in stop:
+            reached = u
+            break
         if d > cutoff + TOL:
-            continue
-        for v, w, k in g.adj[u]:
-            if allowed is not None and v not in allowed:
+            # every vertex still queued lies beyond the cutoff too
+            break
+        nbrs = g.adj[u]
+        if extra:
+            # a path vertex outside restrict has only its path edges
+            nbrs = (nbrs if allowed is None or u in allowed else []) + extra.get(u, [])
+        for v, w, k in nbrs:
+            # path edges (id -1) may leave restrict
+            if allowed is not None and v not in allowed and k >= 0:
                 continue
             nd = d + w
             if nd < dist[v] - TOL:
                 dist[v] = nd
                 parent[v] = u
-                pedge[v] = k
                 heapq.heappush(heap, (nd, v))
-            elif nd <= dist[v] + TOL and not done[v]:
-                # equal-length alternative: keep the lexicographically
-                # smallest (parent id, edge id)
-                if (u, k) < (parent[v], pedge[v]):
-                    parent[v] = u
-                    pedge[v] = k
-    return ShortestPathTree(source, dist, parent, pedge)
+            elif nd <= dist[v] + TOL and not done[v] and u < parent[v]:
+                parent[v] = u
+    return ShortestPathTree(source, dist, parent, reached)
 
 
 class ClusterDistances:
@@ -355,38 +378,18 @@ def greedy_spanner(g: WeightedGraph, epsilon: float) -> WeightedGraph:
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     order = sorted(range(g.m), key=lambda k: (g.edges[k][2], k))
-    sp_adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
+    sp = WeightedGraph(g.n, [])
     kept: list[tuple[int, int, float]] = []
     for k in order:
         u, v, w = g.edges[k]
         bound = (1.0 + epsilon) * w
-        if _sp_dist(sp_adj, u, v, bound) <= bound + TOL:
+        if dijkstra(sp, u, cutoff=bound, stop={v}).dist[v] <= bound + TOL:
             continue
+        sp.adj[u].append((v, w, len(kept)))
+        sp.adj[v].append((u, w, len(kept)))
         kept.append((u, v, w))
-        sp_adj[u].append((v, w))
-        sp_adj[v].append((u, w))
     kept.sort(key=lambda e: (e[0], e[1]))
     return WeightedGraph(g.n, kept)
-
-
-def _sp_dist(adj: list[list[tuple[int, float]]], s: int, t: int, cutoff: float) -> float:
-    """Dijkstra on a plain adjacency list, stopping past cutoff or at t."""
-    dist = {s: 0.0}
-    heap = [(0.0, s)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, INF) + TOL:
-            continue
-        if u == t:
-            return d
-        if d > cutoff + TOL:
-            return INF
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist.get(v, INF) - TOL:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist.get(t, INF)
 
 
 def greedy_net(
@@ -419,10 +422,7 @@ def greedy_net(
 
 def generate(kind: str, params: dict, seed: int = 0) -> WeightedGraph:
     """Named test-instance families, deterministic in (params, seed)."""
-    if kind == "path":
-        n = int(params["n"])
-        return WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
-    if kind == "uniform_line":
+    if kind in ("path", "uniform_line"):
         n = int(params["n"])
         return WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
     if kind == "grid":

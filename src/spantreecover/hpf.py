@@ -46,7 +46,6 @@ class SubnetFamily:
     sigma: int
     subnets: list[list[list[int]]]
     mu: float
-    sigma_slack: int = 0  # max subsets actually needed during carving
 
 
 @dataclass
@@ -180,7 +179,6 @@ def build_subnet_family(
     # pass 1: top point seeds subset 0 only, keeping the subsets disjoint
     tilde: list[list[list[int]]] = [[[] for _ in range(L + 1)] for _ in range(sigma)]
     tilde[0][L] = list(nets.levels[L])
-    used = 1
     for i in range(L - 1, -1, -1):
         r = mu**i / 3.0
         carried: set[int] = set()
@@ -193,7 +191,6 @@ def build_subnet_family(
                 if all(gt(d[p, q], r) for q in tilde[j][i]):
                     tilde[j][i].append(p)
                     placed = True
-                    used = max(used, j + 1)
                     break
             assert placed, f"sigma pre-pass bound {sigma} insufficient at level {i}"
 
@@ -205,7 +202,7 @@ def build_subnet_family(
             subnets[j][i] = sorted(
                 greedy_net(g, subnets[j][i - 1], sorted(tilde[j][i]), mu**i / 3.0)
             )
-    return SubnetFamily(sigma, subnets, mu, sigma_slack=used)
+    return SubnetFamily(sigma, subnets, mu)
 
 
 def strong_diameter(g: WeightedGraph, members: frozenset[int]) -> float:

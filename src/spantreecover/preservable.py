@@ -9,12 +9,10 @@ a sketch tree whose fake edges carry the fixed weight 10 * epsilon * mu^i.
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
-from .graphs import INF, TOL, ClusterDistances, WeightedGraph, leq
+from .graphs import INF, TOL, ClusterDistances, WeightedGraph, dijkstra, leq
 from .hpf import Hierarchy
 
 
@@ -38,62 +36,10 @@ class SketchGraph:
     fake_edges: list[tuple[int, int, float]]
     inter_cluster: list[tuple[int, int, float]]
     scale: float
-    _adj: dict[int, list[tuple[int, float]]] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self._adj:
-            self._adj = {v: [] for v in self.vertices}
-            for u, v, w in self.real_edges + self.fake_edges + self.inter_cluster:
-                self._adj[u].append((v, w))
-                self._adj[v].append((u, w))
-            for lst in self._adj.values():
-                lst.sort()
 
     @property
     def edge_count(self) -> int:
         return len(self.real_edges) + len(self.fake_edges) + len(self.inter_cluster)
-
-    def distances(self, source: int) -> dict[int, float]:
-        dist = {source: 0.0}
-        heap = [(0.0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u] + TOL:
-                continue
-            for v, w in self._adj[u]:
-                nd = d + w
-                if nd < dist.get(v, INF) - TOL:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return dist
-
-
-def union_adjacency(
-    g: WeightedGraph,
-    members: frozenset[int],
-    *paths: Iterable[int],
-    base: Optional[dict[int, list[tuple[int, float]]]] = None,
-) -> dict[int, list[tuple[int, float]]]:
-    """Adjacency of the induced subgraph on ``members`` plus the edges of the
-    given paths (whose vertices may leave ``members``).
-
-    ``base``, if given, is the induced adjacency of ``members``; it is read,
-    never modified. Neighbour lists are unordered and may repeat a path edge
-    that is also induced; ``_sssp`` gives the same result either way.
-    """
-    if base is None:
-        adj = {v: [(u, w) for u, w, _ in g.adj[v] if u in members] for v in members}
-    else:
-        adj = dict(base)
-    for path in paths:
-        seq = list(path)
-        for a, b in zip(seq, seq[1:]):
-            w = g.weight(a, b)
-            adj[a] = adj.get(a, []) + [(b, w)]
-            adj[b] = adj.get(b, []) + [(a, w)]
-        for v in seq:
-            adj.setdefault(v, [])
-    return adj
 
 
 def member_clusters(
@@ -108,70 +54,6 @@ def member_clusters(
         if cache is not None:
             cache[key] = cof
     return cof
-
-
-def _induced(g: WeightedGraph, hier: Hierarchy, cid: int, cache: dict):
-    """Induced adjacency of one cluster, built once per hierarchy."""
-    key = ("induced", cid)
-    adj = cache.get(key)
-    if adj is None:
-        adj = cache[key] = union_adjacency(g, hier.clusters[cid].members)
-    return adj
-
-
-def _sssp(
-    adj: dict[int, list[tuple[int, float]]],
-    source: int,
-    stop: Optional[set[int]] = None,
-):
-    """Deterministic single-source run over a dict adjacency; returns
-    (dist, parent, reached).
-
-    Pops follow (distance, vertex) order and equal-length parents resolve to
-    the smaller id, so neither depends on the order of neighbour lists. With
-    ``stop`` the run ends at the first vertex of that set it settles, which
-    is then the set's nearest vertex (ties: smaller id) and is returned as
-    ``reached`` (None if the set is unreachable or not given).
-    """
-    dist = {source: 0.0}
-    parent: dict[int, int] = {}
-    done: set[int] = set()
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done or d > dist[u] + TOL:
-            continue
-        done.add(u)
-        if stop is not None and u in stop:
-            return dist, parent, u
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist.get(v, INF) - TOL:
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, v))
-            elif nd <= dist.get(v, INF) + TOL and v not in done:
-                if u < parent.get(v, math.inf):
-                    parent[v] = u
-    return dist, parent, None
-
-
-def _extract(parent: dict[int, int], source: int, target: int) -> list[int]:
-    out = [target]
-    while out[-1] != source:
-        out.append(parent[out[-1]])
-    out.reverse()
-    return out
-
-
-def _path_to_set(
-    adj: dict[int, list[tuple[int, float]]], source: int, targets: set[int]
-) -> list[int]:
-    """Shortest path from source to the nearest target (ties: smaller id)."""
-    _, parent, nearest = _sssp(adj, source, stop=targets)
-    if nearest is None:
-        raise ValueError("target set unreachable")
-    return _extract(parent, source, nearest)
 
 
 class PreservableError(AssertionError):
@@ -204,11 +86,11 @@ def build_preservable_set(
     if dists is None:
         dists = ClusterDistances(g)
     chat = hier.clusters[cluster_id].members
-    if not set(pi) & chat and not any(
-        g.has_edge(a, b) for a in pi for b in chat if a != b
+    pi_verts = set(pi)
+    if pi_verts.isdisjoint(chat) and not any(
+        v in chat for a in pi if 0 <= a < g.n for v, _, _ in g.adj[a]
     ):
-        if not set(pi) & chat:
-            raise ValueError("highway does not touch the cluster")
+        raise ValueError("highway does not touch the cluster")
     isub = max(level - ell, 0)
     cof = member_clusters(hier, cluster_id, isub, cache)
 
@@ -238,19 +120,17 @@ def build_preservable_set(
     register(0)
     c_pi = {cof[v] for v in pi if v in cof}
     pi_key = tuple(pi)
-    uadj: Optional[dict[int, list[tuple[int, float]]]] = None
 
     def path_to_pi(source: int) -> list[int]:
-        """Shortest path inside G[C] union pi from source to pi."""
-        nonlocal uadj
+        """Shortest path inside G[C] union pi from source to the nearest
+        vertex of pi (ties: smaller id)."""
         key = ("to-pi", cluster_id, pi_key, source)
         seq = cache.get(key)
         if seq is None:
-            if uadj is None:
-                uadj = union_adjacency(
-                    g, chat, pi, base=_induced(g, hier, cluster_id, cache)
-                )
-            seq = cache[key] = _path_to_set(uadj, source, set(pi))
+            spt = dijkstra(g, source, restrict=chat, paths=[pi], stop=pi_verts)
+            if spt.reached is None:
+                raise ValueError("highway unreachable from the cluster")
+            seq = cache[key] = spt.path_to(spt.reached)
         return seq
 
     if pair is not None:
@@ -268,7 +148,7 @@ def build_preservable_set(
             j2 = next(
                 t
                 for t, v in enumerate(pprime)
-                if cof.get(v) in c_pi or v in set(pi)
+                if cof.get(v) in c_pi or v in pi_verts
             )
             j1 = max(t for t in range(j2 + 1) if cof.get(pprime[t]) in c_pxy)
             bridge = pprime[j1 + 1 : j2]
@@ -278,7 +158,6 @@ def build_preservable_set(
             add_inter(pprime[j1], pprime[j1 + 1])
             add_inter(pprime[j2 - 1], pprime[j2])
         else:
-            pi_verts = set(pi)
             j3 = next(
                 t for t, v in enumerate(pxy) if cof.get(v) in c_pi or v in pi_verts
             )
@@ -380,8 +259,7 @@ def build_sketch_graph(
         key = ("anchors", cid, tuple(path))
         best = cache.get(key)
         if best is None:
-            adj = union_adjacency(g, members, path, base=_induced(g, hier, cid, cache))
-            best = cache[key] = _nearest_anchors(adj, members, path)
+            best = cache[key] = _nearest_anchors(g, members, path)
         for v in off:
             if v not in best:
                 raise ValueError(f"vertex {v} cannot reach its cluster path")
@@ -390,18 +268,17 @@ def build_sketch_graph(
 
 
 def _nearest_anchors(
-    adj: dict[int, list[tuple[int, float]]], members: frozenset[int], path: list[int]
+    g: WeightedGraph, members: frozenset[int], path: list[int]
 ) -> dict[int, tuple[float, int]]:
     """(distance, anchor) of the nearest path vertex inside ``members`` (ties:
-    smaller id) for every other member, measured over ``adj``, the adjacency
-    of G[members] union path."""
+    smaller id) for every other member, measured in G[members] union path."""
     on = set(path)
     off = members - on
     best: dict[int, tuple[float, int]] = {}
     for a in sorted(on & members):
-        dist, _, _ = _sssp(adj, a)
+        dist = dijkstra(g, a, restrict=members, paths=[path]).dist
         for v in off:
-            if v in dist and (v not in best or (dist[v], a) < best[v]):
+            if dist[v] < INF and (v not in best or (dist[v], a) < best[v]):
                 best[v] = (dist[v], a)
     return best
 
@@ -451,11 +328,10 @@ def verify_preservable_set(
             key = ("span", cid, tuple(p))
             span = cache.get(key)
             if span is None:
-                adj = union_adjacency(
-                    g, hier.clusters[cid].members, p, base=_induced(g, hier, cid, cache)
-                )
-                dist, _, end = _sssp(adj, p[0], stop={p[-1]})
-                span = cache[key] = dist[end]
+                span = cache[key] = dijkstra(
+                    g, p[0], restrict=hier.clusters[cid].members, paths=[p],
+                    stop={p[-1]},
+                ).dist[p[-1]]
             assert abs(span - plen) <= TOL, (
                 f"path {idx} not shortest within cluster {cid}"
             )

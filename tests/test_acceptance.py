@@ -483,7 +483,7 @@ def test_criterion_12_theory_mode():
         assert radius <= 5.0 / 12.0 + TOL, f"subnet cover radius {radius}"
         cfg = CoverConfig(
             epsilon=1.0 / 64.0, mu=64.0, rho=24.0, eta=5.0,
-            mode="theory", theory_mode=True,
+            mode="theory",
         )
         cover = span_tree_cover(g, cfg)
         ratio = cover.diagnostics["max_diam_ratio"]

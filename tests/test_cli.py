@@ -232,3 +232,12 @@ def test_oracle_rejects_cover_flags(tmp_path, grid4_file, capsys):
     )
     assert rc == 2
     assert "unrecognized arguments: --mu 8" in capsys.readouterr().err
+
+
+def test_verify_rejects_cover_flags(tmp_path, grid4_file, capsys):
+    # verify rebuilds from the stored cover's parameters, so it takes none
+    cov = tmp_path / "cover.json"
+    assert main(["cover", "--graph", grid4_file, "--out", str(cov)]) == 0
+    rc = main(["verify", "--graph", grid4_file, "--cover", str(cov), "--mu", "1"])
+    assert rc == 2
+    assert "unrecognized arguments: --mu 1" in capsys.readouterr().err

@@ -102,6 +102,55 @@ def test_dijkstra_tiebreak_prefers_small_parent():
     assert spt.path_to(3) == [0, 1, 3]
 
 
+def test_dijkstra_stop_nearest_target_smaller_id_on_tie():
+    # 1 and 3 are both at distance 2 from 0, 4 is farther
+    g = WeightedGraph(
+        5, [(0, 2, 1.0), (2, 1, 1.0), (2, 3, 1.0), (0, 4, 2.5)]
+    )
+    spt = dijkstra(g, 0, stop={3, 1, 4})
+    assert spt.reached == 1
+    assert spt.path_to(1) == [0, 2, 1]
+    assert dijkstra(g, 0, stop={3, 4}).reached == 3
+    assert dijkstra(g, 0, stop={9}).reached is None
+
+
+def test_dijkstra_path_edges_extend_restriction():
+    # restrict to {0, 1}; vertices 2 and 3 only through the path [1, 2, 3],
+    # so the shortcut 0-3 outside restrict is not usable
+    g = WeightedGraph(
+        5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0), (3, 4, 1.0)]
+    )
+    spt = dijkstra(g, 0, restrict={0, 1}, paths=[[1, 2, 3]])
+    assert spt.dist[:4] == [0.0, 1.0, 2.0, 3.0]
+    assert spt.path_to(3) == [0, 1, 2, 3]
+    assert spt.dist[4] == math.inf
+    assert dijkstra(g, 0, restrict={0, 1}).dist[2] == math.inf
+
+
+def test_dijkstra_source_on_path_outside_restriction():
+    g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 5.0)])
+    spt = dijkstra(g, 3, restrict={0, 1}, paths=[[3, 2, 1]], stop={0})
+    assert spt.reached == 0
+    assert spt.path_to(0) == [3, 2, 1, 0]
+    with pytest.raises(ValueError):
+        dijkstra(g, 3, restrict={0, 1}, paths=[[2, 1]])
+
+
+@pytest.mark.parametrize("w, reached", [(1.2, None), (2.1, 3)])
+def test_dijkstra_stop_and_cutoff_give_spanner_decision(w, reached):
+    # the detour 0-1-2-3 has length 3; the greedy 1.5-spanner keeps the
+    # edge (0, 3) of weight w iff the detour exceeds 1.5 * w. At w = 1.2 the
+    # search stops at the cutoff 1.8 before it reaches 3.
+    sp = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    bound = 1.5 * w
+    spt = dijkstra(sp, 0, cutoff=bound, stop={3})
+    assert spt.reached == reached
+    kept = not spt.dist[3] <= bound + graphs.TOL
+    assert kept == (reached is None)
+    g = WeightedGraph(4, sp.edges + [(0, 3, w)])
+    assert ((0, 3, w) in greedy_spanner(g, 0.5).edges) == kept
+
+
 def test_apsp_path_max_entry():
     g = generate("path", {"n": 4})
     assert apsp(g).max() == pytest.approx(3.0)

@@ -3,6 +3,7 @@ import pytest
 from conftest import flat_hierarchy, unit_path
 from spantreecover.graphs import WeightedGraph, generate
 from spantreecover.hpf import build_hpf, offset_ell
+from spantreecover.oracle import TreeOracle
 from spantreecover.preservable import (
     build_preservable_set,
     build_sketch_graph,
@@ -69,6 +70,23 @@ def test_highway_must_touch_cluster():
         build_preservable_set(g, hier, 2, 1, 1, [9], None, MU, EPS)
 
 
+def test_highway_neither_meeting_nor_adjacent():
+    g = unit_path(4)
+    hier = flat_hierarchy([[0, 1], [2, 3]])
+    with pytest.raises(ValueError, match="does not touch"):
+        build_preservable_set(g, hier, 0, 0, 1, [3], None, MU, EPS)
+
+
+def test_adjacent_highway_passes_touch_check():
+    # pi = [2] is adjacent to the cluster {0, 1} without meeting it: the
+    # touch check lets it through, and only the search inside G[C] union pi,
+    # which has no edge onto pi, fails
+    g = unit_path(4)
+    hier = flat_hierarchy([[0, 1], [2, 3]])
+    with pytest.raises(ValueError, match="unreachable"):
+        build_preservable_set(g, hier, 0, 0, 1, [2], None, MU, EPS)
+
+
 def test_sketch_zero_fake_edges_when_all_on_paths():
     g = unit_path(4)
     hier = flat_hierarchy([[0], [1], [2], [3]])
@@ -104,7 +122,10 @@ def test_sketch_is_tree_on_grid5():
     verify_preservable_set(g, pset, hier, top, hier.i_max, ell)
     sketch = build_sketch_graph(g, pset, hier, top, hier.i_max, ell, mu_i, EPS)
     assert sketch.edge_count == len(sketch.vertices) - 1
-    assert len(sketch.distances(sketch.vertices[0])) == len(sketch.vertices)
+    # the LCA oracle over the sketch's edges asserts that they span
+    index = {v: i for i, v in enumerate(sketch.vertices)}
+    edges = sketch.real_edges + sketch.fake_edges + sketch.inter_cluster
+    TreeOracle(len(index), [(index[u], index[v], w) for u, v, w in edges], 0)
 
 
 def test_lemma_report_grid6_with_pair():
