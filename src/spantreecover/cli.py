@@ -166,7 +166,7 @@ def cmd_verify(args) -> int:
             r >= 1.0 - 1e-9 for _, _, r, _ in st["table"]
         )
         max_stretch = st["max"]
-    except (AssertionError, KeyError):
+    except (AssertionError, ValueError):
         # a tree with a non-graph edge cannot even be measured
         families["stretch_at_least_one"] = False
         max_stretch = None

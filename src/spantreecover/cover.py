@@ -83,11 +83,43 @@ class TreeCover:
     hpf: HPFamily = field(repr=False, default=None)
     diagnostics: dict = field(default_factory=dict)
     _oracles: Optional[list[TreeOracle]] = field(default=None, repr=False)
+    _oracle_graph: Optional[WeightedGraph] = field(default=None, repr=False)
 
     def tree_oracles(self, g: WeightedGraph) -> list[TreeOracle]:
-        if self._oracles is None:
-            self._oracles = [TreeOracle(g.n, t.edges, t.root, g) for t in self.trees]
+        """One ``TreeOracle`` per tree, with its edges weighted by ``g``.
+
+        The oracles are built once and shared by every graph that gives each
+        tree edge the weight it has in the graph they were built over, such
+        as a graph and a greedy spanner of it. Raises ValueError naming the
+        tree and the edge when a tree edge is not in ``g``.
+        """
+        if self._oracles is None or not self._same_tree_weights(g):
+            oracles = []
+            for j, t in enumerate(self.trees):
+                try:
+                    oracles.append(TreeOracle(g.n, t.edges, t.root, g))
+                except KeyError:  # from g.weight
+                    raise self._missing_edge(g, j) from None
+            self._oracles, self._oracle_graph = oracles, g
         return self._oracles
+
+    def _same_tree_weights(self, g: WeightedGraph) -> bool:
+        h = self._oracle_graph
+        if h is g:
+            return True
+        if h is None or h.n != g.n:
+            return False
+        for j, t in enumerate(self.trees):
+            try:
+                if any(g.weight(u, v) != h.weight(u, v) for u, v in t.edges):
+                    return False
+            except KeyError:
+                raise self._missing_edge(g, j) from None
+        return True
+
+    def _missing_edge(self, g: WeightedGraph, j: int) -> ValueError:
+        u, v = next(e for e in self.trees[j].edges if not g.has_edge(*e))
+        return ValueError(f"cover tree {j}: edge ({u}, {v}) is not in the graph")
 
 
 def default_demand_pairs(
@@ -126,13 +158,13 @@ def path_preserving_tree(
 ) -> tuple[set[tuple[int, int]], set[int]]:
     """Spanning tree of G[cluster] union pi, as (edge set, vertex set).
 
-    ``memo`` caches finished subtrees across hierarchy copies: two copies
-    that agree on the incoming highway and on every pair assigned inside the
-    subtree produce identical trees, which is the common case away from the
-    one cluster whose pair distinguishes the copies. ``path_cache`` holds,
-    per base hierarchy, the searches that the path systems and their checks
-    repeat; ``dists`` holds the in-cluster shortest-path trees. All three
-    live for one construction.
+    ``memo`` caches the edge sets of finished subtrees across hierarchy
+    copies: two copies that agree on the incoming highway and on every pair
+    assigned inside the subtree produce identical trees, which is the common
+    case away from the one cluster whose pair distinguishes the copies.
+    ``path_cache`` holds, per base hierarchy, the searches that the path
+    systems and their checks repeat; ``dists`` holds the in-cluster
+    distances and shortest-path trees. All three live for one construction.
     """
     hier = copy.base
     cluster = hier.clusters[cluster_id]
@@ -155,7 +187,7 @@ def path_preserving_tree(
         memo_key = (copy.base_index, cluster_id, level, tuple(pi), sig)
         hit = memo.get(memo_key)
         if hit is not None:
-            return hit
+            return hit, {v for e in hit for v in e}
 
     pair_entry = copy.pairs.get((level, cluster_id))
     pair = pair_entry[:2] if pair_entry else None
@@ -202,7 +234,7 @@ def path_preserving_tree(
         f"cluster {cluster_id}: {len(edges)} edges over {len(verts)} vertices"
     )
     if memo is not None:
-        memo[memo_key] = (edges, verts)
+        memo[memo_key] = edges
     return edges, verts
 
 

@@ -2,10 +2,19 @@
 
 Graphs are undirected with positive edge weights. Vertices are 0..n-1.
 All algorithms here are deterministic, with a fixed absolute tolerance on
-float comparisons. ``dijkstra`` is the one vertex shortest-path kernel of
-the package; it settles vertices in (distance, vertex id) order, and of two
-equal-length parents (within tolerance) the one with the smaller vertex id
-wins.
+float comparisons. Two shortest-path kernels serve the package:
+
+- ``dijkstra`` answers every search that needs *paths*. It settles vertices
+  in (distance, vertex id) order, and of two equal-length parents (within
+  tolerance) the one with the smaller vertex id wins, so the paths that
+  become tree edges do not depend on heap order.
+- ``scipy.sparse.csgraph.dijkstra`` answers the searches that need
+  *distances only*: ``apsp`` and the in-cluster blocks of
+  ``ClusterDistances`` (strong diameters, pair distances). It takes the
+  exact float minimum over paths, which is the sum ``dijkstra`` keeps on
+  the graphs built here, and its compiled loop avoids the per-vertex cost of
+  the Python heap. No tie rule applies to a distance, so the choice of
+  kernel cannot change any output.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Container, Iterable, Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 TOL = 1e-9
 
@@ -274,22 +284,48 @@ def dijkstra(
     return ShortestPathTree(source, dist, parent, reached)
 
 
+def graph_csr(g: WeightedGraph) -> csr_matrix:
+    """g's weights as a symmetric n x n CSR matrix, one entry per orientation
+    of each edge."""
+    if not g.edges:
+        return csr_matrix((g.n, g.n))
+    e = np.asarray(g.edges)
+    u, v = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64)
+    return csr_matrix(
+        (np.concatenate([e[:, 2], e[:, 2]]), (np.concatenate([u, v]), np.concatenate([v, u]))),
+        shape=(g.n, g.n),
+    )
+
+
+def _positions(idx: np.ndarray, verts) -> np.ndarray:
+    """Positions of ``verts`` in the sorted vertex array ``idx``."""
+    verts = np.asarray(verts, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(idx, verts), len(idx) - 1)
+    if not np.array_equal(idx[pos], verts):
+        raise ValueError("vertex outside the cluster")
+    return pos
+
+
 class ClusterDistances:
-    """Shortest-path trees inside induced subgraphs G[members], each
-    computed once.
+    """Distances and shortest-path trees inside induced subgraphs
+    G[members], each computed once.
 
     One instance serves one construction: the sigma hierarchies rebuild the
     same clusters, and strong diameters, pair assignment, the path systems
     and the pair-bound check all search the same clusters from the same
-    sources. ``full`` (the all-pairs matrix of g, optional) answers distance
-    rows of clusters that span the whole graph.
+    sources. Distances come from one csgraph call per distinct member set:
+    the |C| x |C| block of G[C], rows and columns in sorted member order.
+    ``full`` (the all-pairs matrix of g, optional) answers the clusters that
+    span the whole graph. Trees, which the path systems read paths from,
+    come from ``dijkstra``.
     """
 
     def __init__(self, g: WeightedGraph, full: Optional[np.ndarray] = None) -> None:
         self.g = g
         self.full = full
+        self.csr = graph_csr(g)
         self._trees: dict[tuple[frozenset[int], int], ShortestPathTree] = {}
-        self._diameters: dict[frozenset[int], float] = {}
+        self._blocks: dict[frozenset[int], tuple[np.ndarray, np.ndarray]] = {}
 
     def tree(self, members: frozenset[int], source: int) -> ShortestPathTree:
         """``dijkstra(g, source, restrict=members)``."""
@@ -299,11 +335,22 @@ class ClusterDistances:
             spt = self._trees[key] = dijkstra(self.g, source, restrict=members)
         return spt
 
-    def row(self, members: frozenset[int], source: int) -> Sequence[float]:
-        """``dijkstra(g, source, restrict=members).dist``."""
+    def _block(self, members: frozenset[int]) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted members, all-pairs distances of G[members])."""
+        hit = self._blocks.get(members)
+        if hit is None:
+            idx = np.sort(np.fromiter(members, dtype=np.int64, count=len(members)))
+            sub = self.csr[idx][:, idx]
+            hit = self._blocks[members] = (idx, csgraph.dijkstra(sub, directed=True))
+        return hit
+
+    def distances(self, members: frozenset[int], sources, targets) -> np.ndarray:
+        """Distances inside G[members], one row per source and one column
+        per target; raises ValueError for a vertex outside ``members``."""
         if self.full is not None and len(members) == self.g.n:
-            return self.full[source]
-        return self.tree(members, source).dist
+            return self.full[np.ix_(sources, targets)]
+        idx, block = self._block(members)
+        return block[np.ix_(_positions(idx, sources), _positions(idx, targets))]
 
     def diameter(self, members: frozenset[int]) -> float:
         """Max pairwise distance inside G[members] (inf if disconnected)."""
@@ -311,13 +358,7 @@ class ClusterDistances:
             return 0.0
         if self.full is not None and len(members) == self.g.n:
             return float(self.full.max())
-        diam = self._diameters.get(members)
-        if diam is None:
-            rows = (self.row(members, s) for s in members)
-            diam = self._diameters[members] = max(
-                max(row[v] for v in members) for row in rows
-            )
-        return diam
+        return float(self._block(members)[1].max())
 
 
 def shortest_path(
@@ -328,7 +369,7 @@ def shortest_path(
 
 
 def apsp(g: WeightedGraph, cap: Optional[int] = None) -> np.ndarray:
-    """All-pairs distance matrix via n single-source runs.
+    """All-pairs distance matrix, one csgraph call over g's CSR.
 
     Refuses graphs above the cap (env ``TREECOVER_APSP_CAP``, default 2000).
     """
@@ -336,10 +377,7 @@ def apsp(g: WeightedGraph, cap: Optional[int] = None) -> np.ndarray:
         cap = int(os.environ.get(APSP_CAP_ENV, DEFAULT_APSP_CAP))
     if g.n > cap:
         raise ValueError(f"graph has {g.n} vertices, above the all-pairs cap {cap}")
-    out = np.full((g.n, g.n), INF)
-    for s in range(g.n):
-        out[s, :] = dijkstra(g, s).dist
-    return out
+    return csgraph.dijkstra(graph_csr(g), directed=True)
 
 
 class _DSU:

@@ -430,7 +430,7 @@ def make_pair_preserving(
     mode enumerates every well-separated subcluster pair of every cluster.
     One copy per distinct pair demanded of the busiest cluster; a copy
     serves every vertex pair that shares its subcluster pair.
-    ``dists`` supplies (and keeps) the in-cluster distance rows.
+    ``dists`` supplies (and keeps) the in-cluster distances.
     """
     ell = offset_ell(hpf.mu, epsilon)
     d = hpf.dist
@@ -495,15 +495,24 @@ def make_pair_preserving(
                     & (at_i[us] == at_i[vs])
                     & (at_sub[us] != at_sub[vs])
                 )
-                for k in np.flatnonzero(cand):
+                ks = np.flatnonzero(cand)
+                if not len(ks):
+                    continue
+                # in-cluster distances, one sub-block per cluster
+                cids = at_i[us[ks]]
+                order = np.argsort(cids, kind="stable")
+                din = np.empty(len(ks))
+                for grp in np.split(order, np.flatnonzero(np.diff(cids[order])) + 1):
+                    su, iu = np.unique(us[ks[grp]], return_inverse=True)
+                    sv, iv = np.unique(vs[ks[grp]], return_inverse=True)
+                    members = h.clusters[int(cids[grp[0]])].members
+                    din[grp] = dists.distances(members, su, sv)[iu, iv]
+                keep = np.abs(din - d[us[ks], vs[ks]]) <= TOL
+                for k, dk in zip(ks[keep], din[keep]):
                     u, v = pairs[k]
-                    cid = int(at_i[u])
-                    din = float(dists.row(h.clusters[cid].members, u)[v])
-                    if abs(din - d[u, v]) > TOL:
-                        continue
                     c1, c2 = int(at_sub[u]), int(at_sub[v])
                     sep = separation(j, c1, c2, h)
-                    hits[k] = (j, i, cid, c1, c2, hpf.mu**i / sep, din)
+                    hits[k] = (j, i, int(at_i[u]), c1, c2, hpf.mu**i / sep, float(dk))
                     open_pairs[k] = False
 
         for (u, v), hit in zip(pairs, hits):

@@ -163,26 +163,24 @@ class OracleIndex:
 def build_oracle(g: WeightedGraph, cover) -> OracleIndex:
     """Stacked LCA data of every cover tree over ``g``.
 
-    Raises ValueError naming the tree and the edge when a tree does not
-    have n - 1 edges or has an edge that is not in ``g``."""
+    The trees are ``cover.tree_oracles(g)``, so a cover whose oracles were
+    built already (over ``g`` or over a spanner of it) keeps one set. Raises
+    ValueError naming the tree and the edge when a tree does not have n - 1
+    edges or has an edge that is not in ``g``."""
     n, t = g.n, len(cover.trees)
-    m = 2 * n - 1
-    first = np.empty((n, t), dtype=np.int32)
-    table = np.empty((t, m.bit_length(), m), dtype=np.int32)
-    depth = np.empty((n, t), dtype=np.int32)
-    wdepth = np.empty((n, t))
-    trees = []
     for j, tree in enumerate(cover.trees):
         if len(tree.edges) != n - 1:
             raise ValueError(
                 f"cover tree {j} has {len(tree.edges)} edges; a spanning "
                 f"tree of the graph's {n} vertices has {n - 1}"
             )
-        try:
-            tor = TreeOracle(n, tree.edges, tree.root, g)
-        except KeyError:  # from g.weight: an edge that is not in g
-            u, v = next(e for e in tree.edges if not g.has_edge(e[0], e[1]))
-            raise ValueError(f"cover tree {j}: edge ({u}, {v}) is not in the graph") from None
+    trees = cover.tree_oracles(g)
+    m = 2 * n - 1
+    first = np.empty((n, t), dtype=np.int32)
+    table = np.empty((t, m.bit_length(), m), dtype=np.int32)
+    depth = np.empty((n, t), dtype=np.int32)
+    wdepth = np.empty((n, t))
+    for j, tor in enumerate(trees):
         # copy the tree's arrays into the stack and point the tree at its
         # slice, so that only the stacked copy stays alive
         first[:, j], table[j], depth[:, j], wdepth[:, j] = (
@@ -191,7 +189,6 @@ def build_oracle(g: WeightedGraph, cover) -> OracleIndex:
         tor._first, tor._table, tor._depth, tor._wd = (
             first[:, j], table[j], depth[:, j], wdepth[:, j]
         )
-        trees.append(tor)
     return OracleIndex(trees, first, table, depth, wdepth, dict(cover.params))
 
 

@@ -87,9 +87,7 @@ def build_preservable_set(
         dists = ClusterDistances(g)
     chat = hier.clusters[cluster_id].members
     pi_verts = set(pi)
-    if pi_verts.isdisjoint(chat) and not any(
-        v in chat for a in pi if 0 <= a < g.n for v, _, _ in g.adj[a]
-    ):
+    if pi_verts.isdisjoint(chat):
         raise ValueError("highway does not touch the cluster")
     isub = max(level - ell, 0)
     cof = member_clusters(hier, cluster_id, isub, cache)
@@ -453,10 +451,7 @@ def verify_preservable_lemma(
         dh = tor.dist_many(
             np.repeat(i1, len(m2)), np.tile(i2, len(m1))
         ).reshape(len(m1), len(m2))
-        din = np.empty_like(dh)
-        for r, x in enumerate(m1):
-            src = dists.row(chat, x)
-            din[r] = [src[y] for y in m2]
+        din = dists.distances(chat, m1, m2)
         worst_gap = float((dh - din).max())
         report["pair_gap"] = worst_gap
         assert leq(worst_gap, slack), f"pair gap {worst_gap} > 44 eps mu^i"

@@ -1,4 +1,5 @@
 import copy as copymod
+import hashlib
 import math
 
 import numpy as np
@@ -229,3 +230,31 @@ def test_exhaustive_mode_tiny():
     expected = sorted((min(u, v), max(u, v)) for u, v, _ in g.edges)
     for t in cover.trees:
         assert sorted(t.edges) == expected
+
+
+# pinned output ---------------------------------------------------------
+
+
+def cover_digest(cover, tmp_path):
+    """SHA-256 of the saved cover plus every cluster's strong diameter."""
+    path = tmp_path / "cover.json"
+    save_cover(cover, str(path))
+    h = hashlib.sha256(path.read_bytes())
+    for j, hier in enumerate(cover.hpf.hierarchies):
+        for cid, cl in sorted(hier.clusters.items()):
+            h.update(repr((j, cid, cl.diameter.hex())).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "kind,params,seed,digest",
+    [
+        ("grid", {"k": 16}, 0, "c0626843042f8d55e9c1d3ebf263913e421f220def9b5e5601755e581f3f1d93"),
+        ("random_geometric", {"n": 64}, 1, "e0f5c29161a04edbc123568569c503d207ade2cfe35acdd752cc650ee5de544c"),
+    ],
+    ids=["grid16", "rg64s1"],
+)
+def test_cover_output_pinned(kind, params, seed, digest, tmp_path):
+    g = generate(kind, params, seed=seed)
+    cover = span_tree_cover(g, CoverConfig(check=False))
+    assert cover_digest(cover, tmp_path) == digest

@@ -180,6 +180,50 @@ def test_apsp_triangle_inequality():
         assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
 
 
+EQUIVALENCE_INSTANCES = [
+    ("grid", {"k": 16}, 0),
+    ("random_geometric", {"n": 64}, 1),
+    ("random_geometric", {"n": 64}, 2),
+    ("random_geometric", {"n": 64}, 3),
+    ("random_geometric", {"n": 256}, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,params,seed",
+    EQUIVALENCE_INSTANCES,
+    ids=["grid16", "rg64s1", "rg64s2", "rg64s3", "rg256s1"],
+)
+def test_csgraph_distances_equal_dijkstra_bitwise(kind, params, seed):
+    # apsp and the in-cluster blocks come from scipy's csgraph; the path
+    # searches from dijkstra. Covers stay byte-identical only if both give
+    # the same floats, on every cluster of the built hierarchies.
+    from spantreecover.hpf import build_hpf
+
+    gs, _ = generate(kind, params, seed=seed).rescaled()
+    full = apsp(gs)
+    assert np.array_equal(full, [dijkstra(gs, s).dist for s in range(gs.n)])
+    dists = graphs.ClusterDistances(gs, full)
+    hpf = build_hpf(gs, 6.0, 24.0, 1.0, dists=dists)
+    blocks = {c.members for h in hpf.hierarchies for c in h.clusters.values()}
+    for members in blocks:
+        idx = sorted(members)
+        want = [np.asarray(dijkstra(gs, s, restrict=members).dist)[idx] for s in idx]
+        block = dists.distances(members, idx, idx)
+        assert np.array_equal(block, want)
+        assert dists.diameter(members) == block.max()
+
+
+def test_cluster_distances_sub_block_and_outside_vertex():
+    g = generate("path", {"n": 5})
+    dists = graphs.ClusterDistances(g)
+    members = frozenset({1, 2, 3})
+    assert dists.distances(members, [3, 1], [2]).tolist() == [[1.0], [1.0]]
+    assert dists.diameter(members) == 2.0
+    with pytest.raises(ValueError, match="outside the cluster"):
+        dists.distances(members, [0], [2])
+
+
 def test_mst_path_is_itself():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 2.0)])
     assert mst_weight(g) == pytest.approx(3.0)

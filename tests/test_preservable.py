@@ -77,13 +77,12 @@ def test_highway_neither_meeting_nor_adjacent():
         build_preservable_set(g, hier, 0, 0, 1, [3], None, MU, EPS)
 
 
-def test_adjacent_highway_passes_touch_check():
-    # pi = [2] is adjacent to the cluster {0, 1} without meeting it: the
-    # touch check lets it through, and only the search inside G[C] union pi,
-    # which has no edge onto pi, fails
+def test_adjacent_highway_fails_touch_check():
+    # pi = [2] is adjacent to the cluster {0, 1} without meeting it: G[C]
+    # union pi has no edge onto pi, so the touch check rejects it up front
     g = unit_path(4)
     hier = flat_hierarchy([[0, 1], [2, 3]])
-    with pytest.raises(ValueError, match="unreachable"):
+    with pytest.raises(ValueError, match="does not touch"):
         build_preservable_set(g, hier, 0, 0, 1, [2], None, MU, EPS)
 
 
