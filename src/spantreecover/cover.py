@@ -162,9 +162,11 @@ def path_preserving_tree(
     copies: two copies that agree on the incoming highway and on every pair
     assigned inside the subtree produce identical trees, which is the common
     case away from the one cluster whose pair distinguishes the copies.
-    ``path_cache`` holds, per base hierarchy, the searches that the path
-    systems and their checks repeat; ``dists`` holds the in-cluster
-    distances and shortest-path trees. All three live for one construction.
+    ``path_cache`` holds, per base hierarchy, what the path systems, their
+    sketches and their checks repeat: member-to-subcluster maps, pair
+    paths, glue descents, searches towards pi, nearest anchors and path
+    detours (see ``preservable``). ``dists`` holds the in-cluster distances
+    and shortest-path trees. All three live for one construction.
     """
     hier = copy.base
     cluster = hier.clusters[cluster_id]

@@ -91,10 +91,18 @@ class WeightedGraph:
         for u, v, w in self.edges:
             self._weight[(u, v)] = w
             self._weight[(v, u)] = w
+        self._columns: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    def edge_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``edges`` as (u, v, w) numpy columns, built on first use."""
+        if self._columns is None:
+            e = np.asarray(self.edges, dtype=np.float64).reshape(-1, 3)
+            self._columns = (e[:, 0].astype(np.int64), e[:, 1].astype(np.int64), e[:, 2])
+        return self._columns
 
     def weight(self, u: int, v: int) -> float:
         return self._weight[(u, v)]
@@ -202,12 +210,15 @@ class ShortestPathTree:
     """Result of a single-source run: distances plus deterministic parents.
 
     ``reached`` is the vertex of ``stop`` the run ended at, or None.
+    ``settled`` lists the vertices in the order the run settled them; with
+    a cutoff, that is every vertex within it and at most one beyond.
     """
 
     source: int
     dist: list[float]
     parent: list[int]
     reached: Optional[int] = None
+    settled: list[int] = field(default_factory=list)
 
     def path_to(self, v: int) -> list[int]:
         """Vertex sequence source..v; raises if v is unreachable."""
@@ -253,6 +264,7 @@ def dijkstra(
     parent = [-1] * g.n
     dist[source] = 0.0
     done = [False] * g.n
+    settled: list[int] = []
     reached = None
     heap: list[tuple[float, int]] = [(0.0, source)]
     while heap:
@@ -260,6 +272,7 @@ def dijkstra(
         if done[u] or d > dist[u] + TOL:
             continue
         done[u] = True
+        settled.append(u)
         if stop is not None and u in stop:
             reached = u
             break
@@ -281,7 +294,7 @@ def dijkstra(
                 heapq.heappush(heap, (nd, v))
             elif nd <= dist[v] + TOL and not done[v] and u < parent[v]:
                 parent[v] = u
-    return ShortestPathTree(source, dist, parent, reached)
+    return ShortestPathTree(source, dist, parent, reached, settled)
 
 
 def graph_csr(g: WeightedGraph) -> csr_matrix:
@@ -289,10 +302,9 @@ def graph_csr(g: WeightedGraph) -> csr_matrix:
     of each edge."""
     if not g.edges:
         return csr_matrix((g.n, g.n))
-    e = np.asarray(g.edges)
-    u, v = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64)
+    u, v, w = g.edge_columns()
     return csr_matrix(
-        (np.concatenate([e[:, 2], e[:, 2]]), (np.concatenate([u, v]), np.concatenate([v, u]))),
+        (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
         shape=(g.n, g.n),
     )
 
@@ -439,22 +451,25 @@ def greedy_net(
     """Extend ``base`` to a t-net greedily over ``candidates`` in id order.
 
     A candidate joins iff its graph distance to every current member exceeds t.
-    Returns the full member list (base followed by additions).
+    Returns the full member list (base followed by additions). A search cut
+    off at t settles every vertex within t of its source, so the distances
+    it settled are the only ones that can rule a candidate out.
     """
     members = list(base)
     dmin = [INF] * g.n
-    for b in members:
-        spt = dijkstra(g, b, cutoff=t)
-        for v in range(g.n):
+
+    def absorb(source: int) -> None:
+        spt = dijkstra(g, source, cutoff=t)
+        for v in spt.settled:
             if spt.dist[v] < dmin[v]:
                 dmin[v] = spt.dist[v]
+
+    for b in members:
+        absorb(b)
     for c in sorted(candidates):
         if gt(dmin[c], t):
             members.append(c)
-            spt = dijkstra(g, c, cutoff=t)
-            for v in range(g.n):
-                if spt.dist[v] < dmin[v]:
-                    dmin[v] = spt.dist[v]
+            absorb(c)
     return members
 
 

@@ -11,6 +11,8 @@ hierarchy copies) so that demanded vertex pairs are preserved.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence, Union
@@ -226,33 +228,49 @@ def cluster_aggregation(
         raise ValueError("portal set empty")
     if diams is None:
         diams = [strong_diameter(g, c) for c in clusters]
-    cof = {}
-    for idx, c in enumerate(clusters):
-        for v in c:
-            cof[v] = idx
-    arc: dict[tuple[int, int], float] = {}
-    for u, v, w in g.edges:
-        a, b = cof[u], cof[v]
-        if a == b:
-            continue
-        for x, y in ((a, b), (b, a)):
-            key = (x, y)
-            if key not in arc or w < arc[key]:
-                arc[key] = w
-    out_arcs: list[list[tuple[int, float]]] = [[] for _ in clusters]
-    for (a, b), w in arc.items():
-        out_arcs[a].append((b, w + diams[b]))
-    for lst in out_arcs:
-        lst.sort()
+    k = len(clusters)
+    sizes = [len(c) for c in clusters]
+    cof = np.full(g.n, -1, dtype=np.int64)
+    cof[np.fromiter(itertools.chain.from_iterable(clusters), np.int64, sum(sizes))] = (
+        np.repeat(np.arange(k), sizes)
+    )
+    # one arc per ordered cluster pair joined by an edge, at the minimum
+    # crossing weight: sort both orientations by (from, to, weight) and keep
+    # the first of each (from, to) run
+    eu, ev, ew = g.edge_columns()
+    a, b = cof[eu], cof[ev]
+    cross = a != b
+    src = np.concatenate([a[cross], b[cross]])
+    dst = np.concatenate([b[cross], a[cross]])
+    wt = np.concatenate([ew[cross], ew[cross]])
+    order = np.lexsort((wt, dst, src))
+    src, dst, wt = src[order], dst[order], wt[order]
+    first = np.ones(len(src), dtype=bool)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    src, dst = src[first], dst[first]
+    arc_cost = (wt[first] + np.asarray(diams, dtype=np.float64)[dst]).tolist()
+    bounds = np.searchsorted(src, np.arange(k + 1)).tolist()
+    dst = dst.tolist()
+    # each list sorted by target id, as the (from, to) order leaves it
+    out_arcs = [
+        list(zip(dst[lo:hi], arc_cost[lo:hi])) for lo, hi in zip(bounds, bounds[1:])
+    ]
 
-    import heapq
-
-    label = [-1] * len(clusters)
-    heap: list[tuple[float, int, int]] = []
-    for idx, c in enumerate(clusters):
-        inside = sorted(p for p in portals if p in c)
-        if inside:
-            heapq.heappush(heap, (0.0, inside[0], idx))
+    # each cluster holding a portal seeds the forest with its smallest one
+    seed = [-1] * k
+    for p, idx in zip(portals, cof[np.asarray(portals, dtype=np.int64)].tolist()):
+        if idx >= 0 and (seed[idx] < 0 or p < seed[idx]):
+            seed[idx] = p
+    label = [-1] * k
+    # best[c] is the smallest (cost, portal) offered to cluster c so far: a
+    # larger offer would never be popped first, so it is not pushed
+    best: list[Optional[tuple[float, int]]] = [None] * k
+    heap = []
+    for idx, p in enumerate(seed):
+        if p >= 0:
+            best[idx] = (0.0, p)
+            heap.append((0.0, p, idx))
+    heapq.heapify(heap)
     while heap:
         cost, portal, idx = heapq.heappop(heap)
         if label[idx] != -1:
@@ -260,7 +278,10 @@ def cluster_aggregation(
         label[idx] = portal
         for nb, w in out_arcs[idx]:
             if label[nb] == -1:
-                heapq.heappush(heap, (cost + w, portal, nb))
+                offer = (cost + w, portal)
+                if best[nb] is None or offer < best[nb]:
+                    best[nb] = offer
+                    heapq.heappush(heap, (offer[0], portal, nb))
     assert all(p != -1 for p in label), "aggregation left a cluster unreached"
     return label
 

@@ -5,12 +5,24 @@ path pi, and optionally a designated subcluster pair, this module builds a
 set of vertex-disjoint shortest paths touching every subcluster exactly once
 (plus the inter-cluster edges gluing them together), and condenses it into
 a sketch tree whose fake edges carry the fixed weight 10 * epsilon * mu^i.
+
+The checks assert the path-system properties and the preservable lemma on the
+sketch. The lemma check makes a fixed number of linear passes over the sketch
+tree, plus one pass per member of the pair's first subcluster.
+
+One ``cache`` dict per hierarchy serves all of these functions. It holds the
+member-to-subcluster maps, the pair paths, glue descents and searches
+towards pi of the build, the nearest anchors of the sketch, and the shortest
+detours of the path check. All of them depend only on the hierarchy and the
+highway, so they repeat across hierarchy copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .graphs import INF, TOL, ClusterDistances, WeightedGraph, dijkstra, leq
 from .hpf import Hierarchy
@@ -340,35 +352,38 @@ def verify_preservable_set(
         assert cof.get(a) != cof.get(b) or (a not in cof or b not in cof)
 
 
-def _farthest_pair(tor, members) -> float:
-    """Largest tree distance between two of ``members`` (0 for fewer than
-    two), equal to the max of ``tor.dist_many`` over all their pairs.
+def _sketch_walk(
+    sketch: SketchGraph,
+) -> tuple[dict[int, int], list[int], list[int], list[float]]:
+    """Relabel the sketch onto 0 .. nv - 1 and walk it from index 0.
 
-    wd[u] + wd[v] - 2 wd[lca] is monotone in wd[u] and wd[v], in floating
-    point too, so each vertex w only has to pair the two deepest members
-    found in distinct branches below it (w itself is a branch): one
-    bottom-up pass instead of a query per pair.
+    Returns (index, parent, order, wd): ``order`` lists every vertex after
+    its parent, and wd[v] sums the edge weights from the root down to v, in
+    the order ``TreeOracle`` sums them. Asserts that the sketch is a tree.
     """
-    wd, depth, parent = tor.wdepth, tor.depth, tor.parent
-    top1 = [-INF] * tor.n
-    top2 = [-INF] * tor.n
-    for v in members:
-        top1[v] = wd[v]
-    worst = 0.0
-    for v in sorted(range(tor.n), key=depth.__getitem__, reverse=True):
-        b = top1[v]
-        if b == -INF:
-            continue
-        if top2[v] != -INF:
-            worst = max(worst, (b + top2[v]) - 2.0 * wd[v])
-        p = parent[v]
-        if p < 0:
-            continue
-        if b > top1[p]:
-            top1[p], top2[p] = b, top1[p]
-        elif b > top2[p]:
-            top2[p] = b
-    return worst
+    nv, ne = len(sketch.vertices), sketch.edge_count
+    assert ne == nv - 1, f"sketch has {ne} edges over {nv} vertices"
+    index = {v: i for i, v in enumerate(sketch.vertices)}
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(nv)]
+    for edges in (sketch.real_edges, sketch.fake_edges, sketch.inter_cluster):
+        for u, v, w in edges:
+            a, b = index[u], index[v]
+            adj[a].append((b, w))
+            adj[b].append((a, w))
+    parent = [-1] * nv
+    wd = [0.0] * nv
+    seen = [False] * nv
+    seen[0] = True
+    order = [0]
+    for u in order:
+        for v, w in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                parent[v] = u
+                wd[v] = wd[u] + w
+                order.append(v)
+    assert len(order) == nv, "sketch does not span all its vertices"
+    return index, parent, order, wd
 
 
 def verify_preservable_lemma(
@@ -388,94 +403,108 @@ def verify_preservable_lemma(
 ) -> dict:
     """Check the sketch-tree guarantees; returns a report of measurements.
 
-    ``dists`` supplies the in-cluster distances of the pair bound and
-    ``cache`` the per-hierarchy memo of ``build_preservable_set``; pass the
-    construction's own to share their work.
+    Every bound is checked in linear passes over the sketch tree, and every
+    tree distance is wd[u] + wd[v] - 2 wd[lca] over the root-path sums of
+    ``_sketch_walk``. ``dists`` supplies the in-cluster distances of the
+    pair bound and ``cache`` the per-hierarchy memo of
+    ``build_preservable_set``; pass the construction's own to share their
+    work.
     """
-    import numpy as np
-
-    from .oracle import TreeOracle
-
     chat = hier.clusters[cluster_id].members
     isub = max(level - ell, 0)
     cof = member_clusters(hier, cluster_id, isub, cache)
     report: dict = {}
 
-    # tree-ness: nv - 1 edges, and the LCA oracle over the (relabeled)
-    # sketch, used below for bulk distance queries, asserts it reaches
-    # every vertex
-    nv, ne = len(sketch.vertices), sketch.edge_count
-    assert ne == nv - 1, f"sketch has {ne} edges over {nv} vertices"
-    index = {v: i for i, v in enumerate(sketch.vertices)}
-    tor = TreeOracle(
-        nv,
-        [
-            (index[u], index[v], w)
-            for u, v, w in sketch.real_edges + sketch.fake_edges + sketch.inter_cluster
-        ],
-        0,
-    )
+    index, parent, order, wd = _sketch_walk(sketch)
+    nv = len(order)
     report["is_tree"] = True
 
-    def ids_of(verts) -> np.ndarray:
-        return np.asarray([index[x] for x in verts], dtype=np.int64)
-
-    # same-cluster bound, every cluster (one batched query over all pairs)
-    key = ("same-cluster pairs", cluster_id, isub)
-    same_pairs = None if cache is None else cache.get(key)
-    if same_pairs is None:
-        inside = sorted(chat)
-        sub = np.asarray([cof[v] for v in inside], dtype=np.int64)
-        iu, iv = np.triu_indices(len(inside), k=1)
-        same = sub[iu] == sub[iv]
-        same_pairs = (inside, iu[same], iv[same])
-        if cache is not None:
-            cache[key] = same_pairs
-    inside, iu, iv = same_pairs
-    ids = ids_of(inside)
-    d_same = tor.dist_many(ids[iu], ids[iv])
-    worst_same = float(d_same.max()) if len(d_same) else 0.0
+    # same-cluster bound and diameter, in one bottom-up pass: each vertex
+    # keeps the deepest wd below it of every subcluster (``deep``, merged
+    # small into large) and of the whole cluster (``top``). Two members
+    # meet at their LCA p, and (a + b) - 2 wd[p] is monotone in a and b, in
+    # floating point too, so the deepest member of each branch gives the
+    # largest distance through p.
+    deep: list[dict[int, float]] = []
+    top: list[Optional[float]] = []
+    for i, v in enumerate(sketch.vertices):
+        c = cof.get(v)
+        deep.append({} if c is None else {c: wd[i]})
+        top.append(None if c is None else wd[i])
+    worst_same = worst = 0.0
+    for v in reversed(order[1:]):
+        b = top[v]
+        if b is None:
+            continue  # no cluster member below v
+        p = parent[v]
+        a = top[p]
+        if a is None:
+            top[p], deep[p] = b, deep[v]
+            continue
+        twice = 2.0 * wd[p]
+        d = (a + b) - twice
+        if d > worst:
+            worst = d
+        if b > a:
+            top[p] = b
+        small, big = deep[v], deep[p]
+        if len(small) > len(big):
+            small, big = big, small
+            deep[p] = big
+        for c, b in small.items():
+            a = big.get(c)
+            if a is None:
+                big[c] = b
+                continue
+            d = (a + b) - twice
+            if d > worst_same:
+                worst_same = d
+            if b > a:
+                big[c] = b
     report["max_same_cluster"] = worst_same
     assert leq(worst_same, 21.0 * epsilon * mu_i), (
         f"same-cluster distance {worst_same} > 21 eps mu^i"
     )
 
-    # pair bound
+    # pair bound: the LCA of x and y lies on y's root path, so for each
+    # member x of the first subcluster one pass over the root paths of the
+    # second's members finds them all
     if pair is not None:
         m1 = sorted(hier.clusters[pair[0]].members)
         m2 = sorted(hier.clusters[pair[1]].members)
         slack = 44.0 * epsilon * mu_i
         if dists is None:
             dists = ClusterDistances(g)
-        i1, i2 = ids_of(m1), ids_of(m2)
-        dh = tor.dist_many(
-            np.repeat(i1, len(m2)), np.tile(i2, len(m1))
-        ).reshape(len(m1), len(m2))
+        i1 = [index[x] for x in m1]
+        i2 = [index[y] for y in m2]
+        up = [False] * nv
+        for y in i2:
+            while y >= 0 and not up[y]:
+                up[y] = True
+                y = parent[y]
+        span = [v for v in order if up[v]]
+        rows = []
+        for x in i1:
+            lca = _lcas_with(x, parent, span)
+            rows.append([lca[y] for y in i2])
+        wda = np.asarray(wd)
+        dh = wda[i1][:, None] + wda[i2] - 2.0 * wda[np.asarray(rows, dtype=np.int64)]
         din = dists.distances(chat, m1, m2)
         worst_gap = float((dh - din).max())
         report["pair_gap"] = worst_gap
         assert leq(worst_gap, slack), f"pair gap {worst_gap} > 44 eps mu^i"
 
     # diameter ratio (asserted only under theory-coupled parameters)
-    worst = _farthest_pair(tor, ids)
     report["diam_ratio"] = worst / mu_i
     if theory_mode:
         assert leq(worst, 10.0 * mu_i), f"sketch diameter {worst} > 10 mu^i"
 
     # glue monotonicity: clusters touched by a glued path stay near pi
-    pi_verts = sorted(set(pset.paths[pset.highway]))
-    allv = sketch.vertices
-    pids, aids = ids_of(pi_verts), ids_of(allv)
-    near = (
-        tor.dist_many(np.repeat(pids, len(aids)), np.tile(aids, len(pids)))
-        .reshape(len(pids), len(aids))
-        .min(axis=0)
-    )
-    near_pi = {v: float(near[i]) for i, v in enumerate(allv)}
+    near = _highway_distances(pset, index, parent, order, wd)
     for idx, (kind, rep) in enumerate(pset.origins):
         if kind != "glue":
             continue
-        bound = near_pi[rep] + 10.0 * epsilon * mu_i
+        bound = near[index[rep]] + 10.0 * epsilon * mu_i
         seen: set[int] = set()
         for v in pset.paths[idx]:
             if v not in chat:
@@ -485,8 +514,52 @@ def verify_preservable_lemma(
                 continue
             seen.add(cid)
             for u in hier.clusters[cid].members:
-                assert leq(near_pi[u], bound), (
+                assert leq(near[index[u]], bound), (
                     f"glue monotonicity broken at vertex {u}"
                 )
     report["glue_ok"] = True
     return report
+
+
+def _lcas_with(x: int, parent: list[int], order: list[int]) -> list[int]:
+    """LCA of x and each vertex of ``order``, a parent-closed list of
+    vertices with every vertex after its parent: the deepest vertex of x's
+    root path above it. Entries of other vertices are 0."""
+    on_path = [False] * len(parent)
+    while x >= 0:
+        on_path[x] = True
+        x = parent[x]
+    lca = [0] * len(parent)
+    for v in order:
+        lca[v] = v if on_path[v] else lca[parent[v]]
+    return lca
+
+
+def _highway_distances(
+    pset: PreservableSet,
+    index: dict[int, int],
+    parent: list[int],
+    order: list[int],
+    wd: list[float],
+) -> list[float]:
+    """Sketch-tree distance from every sketch vertex to the nearest vertex
+    of pi, in one top-down pass.
+
+    pi is a connected subtree and the weights are positive, so the nearest
+    highway vertex of v is its nearest pi ancestor, or, when v has none,
+    the shallowest vertex s of pi, reached through the LCA of v and s.
+    """
+    nv = len(order)
+    on_pi = [False] * nv
+    for v in pset.paths[pset.highway]:
+        on_pi[index[v]] = True
+    s = next(v for v in order if on_pi[v])
+    lca = _lcas_with(s, parent, order)
+    hw = [-1] * nv  # nearest pi ancestor, -1 for none
+    near = [0.0] * nv
+    for v in order:
+        p = parent[v]
+        hw[v] = v if on_pi[v] else hw[p] if p >= 0 else -1
+        a, m = (hw[v], hw[v]) if hw[v] >= 0 else (s, lca[v])
+        near[v] = (wd[a] + wd[v]) - 2.0 * wd[m]
+    return near

@@ -326,6 +326,38 @@ def test_net_packing_among_added_strict():
         assert d[a, b] > 2.0 + 1e-9
 
 
+def _greedy_net_loop(g, candidates, base, t):
+    """Reference: the per-vertex minimum over every search's distances,
+    one vertex at a time."""
+    members = list(base)
+    dmin = [math.inf] * g.n
+
+    def absorb(source):
+        dist = dijkstra(g, source, cutoff=t).dist
+        for v in range(g.n):
+            dmin[v] = min(dmin[v], dist[v])
+
+    for b in members:
+        absorb(b)
+    for c in sorted(candidates):
+        if dmin[c] > t + graphs.TOL:
+            members.append(c)
+            absorb(c)
+    return members
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=20, deadline=None)
+def test_net_matches_loop_reference(seed):
+    g = generate("random_geometric", {"n": 30}, seed=seed)
+    rng = np.random.default_rng(seed)
+    d = apsp(g)
+    t = float(rng.choice(d[d > 0]))  # a realised distance: the tie case
+    base = rng.choice(g.n, size=2, replace=False).tolist()
+    candidates = rng.permutation(g.n).tolist()
+    assert greedy_net(g, candidates, base, t) == _greedy_net_loop(g, candidates, base, t)
+
+
 def test_dijkstra_full_restriction_matches():
     g = generate("random_geometric", {"n": 20}, seed=1)
     for s in range(0, 20, 5):

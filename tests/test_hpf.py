@@ -1,8 +1,10 @@
 """Hierarchical partition family: nets, subnets, aggregation, padding, pairs."""
 
+import heapq
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from spantreecover.graphs import WeightedGraph, apsp, dijkstra, generate, leq
@@ -125,6 +127,58 @@ def test_aggregation_distortion_reported():
     label = cluster_aggregation(g, clusters, portals)
     dist = aggregation_distortion(g, clusters, portals, label)
     assert math.isfinite(dist) and dist >= 0.0
+
+
+def _aggregation_loop(g, clusters, portals, diams):
+    """Reference: the arc map from one dict update per edge, and seeds from
+    testing every portal against every cluster."""
+    cof = {v: idx for idx, c in enumerate(clusters) for v in c}
+    arc = {}
+    for u, v, w in g.edges:
+        a, b = cof[u], cof[v]
+        if a != b:
+            for key in ((a, b), (b, a)):
+                if key not in arc or w < arc[key]:
+                    arc[key] = w
+    out_arcs = [[] for _ in clusters]
+    for (a, b), w in arc.items():
+        out_arcs[a].append((b, w + diams[b]))
+    for lst in out_arcs:
+        lst.sort()
+    label = [-1] * len(clusters)
+    heap = []
+    for idx, c in enumerate(clusters):
+        inside = sorted(p for p in portals if p in c)
+        if inside:
+            heapq.heappush(heap, (0.0, inside[0], idx))
+    while heap:
+        cost, portal, idx = heapq.heappop(heap)
+        if label[idx] != -1:
+            continue
+        label[idx] = portal
+        for nb, w in out_arcs[idx]:
+            if label[nb] == -1:
+                heapq.heappush(heap, (cost + w, portal, nb))
+    return label
+
+
+@pytest.mark.parametrize(
+    "kind,params", [("grid", {"k": 7}), ("random_geometric", {"n": 60})]
+)
+def test_aggregation_matches_loop_reference(kind, params):
+    # random partitions, unsorted portal lists with repeats and several
+    # portals per cluster; grid weights all tie, so do its diameters
+    for seed in range(10):
+        g = generate(kind, params, seed=seed)
+        rng = np.random.default_rng(seed)
+        group = rng.integers(0, g.n // 3, size=g.n)
+        clusters = [frozenset(np.flatnonzero(group == k).tolist()) for k in np.unique(group)]
+        portals = rng.choice(g.n, size=len(clusters) // 2 + 1).tolist()
+        diams = (
+            [1.0] * len(clusters) if kind == "grid" else rng.random(len(clusters)).tolist()
+        )
+        expected = _aggregation_loop(g, clusters, portals, diams)
+        assert cluster_aggregation(g, clusters, portals, diams=diams) == expected
 
 
 def test_aggregation_rejects_empty_portals():

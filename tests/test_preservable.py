@@ -1,12 +1,20 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
+import spantreecover.cover as cover_mod
 from conftest import flat_hierarchy, unit_path
-from spantreecover.graphs import WeightedGraph, generate
+from spantreecover.cover import CoverConfig, span_tree_cover
+from spantreecover.graphs import ClusterDistances, WeightedGraph, generate
 from spantreecover.hpf import build_hpf, offset_ell
 from spantreecover.oracle import TreeOracle
 from spantreecover.preservable import (
+    _highway_distances,
+    _sketch_walk,
     build_preservable_set,
     build_sketch_graph,
+    member_clusters,
     verify_preservable_lemma,
     verify_preservable_set,
 )
@@ -169,3 +177,160 @@ def test_lemma_trivial_single_cluster():
     )
     assert report["is_tree"]
     assert "pair_gap" not in report
+
+
+# linear-pass lemma check against the LCA-oracle reference -----------------
+
+
+def reference_lemma(
+    g, sketch, pset, hier, cluster_id, level, ell, pair, mu_i, epsilon,
+    theory_mode=False, dists=None, cache=None,
+):
+    """The lemma's measurements from an LCA oracle over the sketch and
+    batched queries over all pairs: (report, distance to pi per sketch
+    vertex). Checks nothing."""
+    chat = hier.clusters[cluster_id].members
+    cof = member_clusters(hier, cluster_id, max(level - ell, 0), cache)
+    index = {v: i for i, v in enumerate(sketch.vertices)}
+    edges = sketch.real_edges + sketch.fake_edges + sketch.inter_cluster
+    tor = TreeOracle(len(index), [(index[u], index[v], w) for u, v, w in edges], 0)
+
+    def ids_of(verts):
+        return np.asarray([index[x] for x in verts], dtype=np.int64)
+
+    report = {"is_tree": True}
+    inside = sorted(chat)
+    ids = ids_of(inside)
+    sub = np.asarray([cof[v] for v in inside])
+    iu, iv = np.triu_indices(len(inside), k=1)
+    same = sub[iu] == sub[iv]
+    d_same = tor.dist_many(ids[iu[same]], ids[iv[same]])
+    report["max_same_cluster"] = float(d_same.max()) if len(d_same) else 0.0
+    if pair is not None:
+        m1 = sorted(hier.clusters[pair[0]].members)
+        m2 = sorted(hier.clusters[pair[1]].members)
+        i1, i2 = ids_of(m1), ids_of(m2)
+        dh = tor.dist_many(np.repeat(i1, len(m2)), np.tile(i2, len(m1)))
+        din = (dists or ClusterDistances(g)).distances(chat, m1, m2)
+        report["pair_gap"] = float((dh.reshape(len(m1), len(m2)) - din).max())
+    d_all = tor.dist_many(ids[iu], ids[iv])
+    report["diam_ratio"] = (float(d_all.max()) if len(d_all) else 0.0) / mu_i
+    report["glue_ok"] = True
+    pids = ids_of(sorted(set(pset.paths[pset.highway])))
+    aids = ids_of(sketch.vertices)
+    near = tor.dist_many(np.repeat(pids, len(aids)), np.tile(aids, len(pids)))
+    return report, near.reshape(len(pids), len(aids)).min(axis=0)
+
+
+@pytest.mark.parametrize(
+    "kind,params,seed",
+    [("grid", {"k": 8}, 0), ("random_geometric", {"n": 64}, 1)],
+    ids=["grid8", "rg64s1"],
+)
+def test_lemma_matches_oracle_reference_at_every_node(kind, params, seed, monkeypatch):
+    # every report is bitwise equal to the reference's, and so is every
+    # sketch vertex's distance to pi
+    seen = {"nodes": 0, "pairs": 0}
+
+    def checked(g, sketch, pset, *args, **kwargs):
+        report = verify_preservable_lemma(g, sketch, pset, *args, **kwargs)
+        ref, near = reference_lemma(g, sketch, pset, *args, **kwargs)
+        assert report == ref
+        walk = _sketch_walk(sketch)
+        assert np.array_equal(np.asarray(_highway_distances(pset, *walk)), near)
+        seen["nodes"] += 1
+        seen["pairs"] += "pair_gap" in report
+        return report
+
+    monkeypatch.setattr(cover_mod, "verify_preservable_lemma", checked)
+    cover = span_tree_cover(generate(kind, params, seed=seed), CoverConfig())
+    assert seen["nodes"] == cover.diagnostics["nodes_checked"] > 0
+    assert seen["pairs"] > 0
+
+
+@pytest.fixture(scope="module")
+def grid5_top():
+    """The top cluster of grid5's first hierarchy and its first and last
+    subclusters, the pair of the pair-bound case."""
+    g = generate("grid", {"k": 5})
+    hier = build_hpf(g, MU, 24.0, 1.0).hierarchies[0]
+    ell = offset_ell(MU, EPS)
+    top, level = hier.levels[hier.i_max][0], hier.i_max
+    subs = sorted(set(member_clusters(hier, top, max(level - ell, 0)).values()))
+    return g, hier, top, level, ell, (subs[0], subs[-1])
+
+
+def _lemma_on_grid5(grid5_top, with_pair, corrupt):
+    """Build grid5's top sketch, pass it through ``corrupt`` and check it."""
+    g, hier, top, level, ell, pair = grid5_top
+    pair = pair if with_pair else None
+    mu_i = MU**level
+    rep = hier.clusters[top].representative
+    pset = build_preservable_set(g, hier, top, level, ell, [rep], pair, mu_i, EPS)
+    sketch = build_sketch_graph(g, pset, hier, top, level, ell, mu_i, EPS)
+    return verify_preservable_lemma(
+        g, corrupt(sketch), pset, hier, top, level, ell, pair, mu_i, EPS
+    )
+
+
+def _reweight(edges, u, v, w):
+    assert any((a, b) == (u, v) for a, b, _ in edges), f"no edge ({u}, {v})"
+    return [(a, b, w if (a, b) == (u, v) else x) for a, b, x in edges]
+
+
+def test_lemma_grid5_uncorrupted_passes(grid5_top):
+    # the corruptions below start from sketches that pass
+    for with_pair in (False, True):
+        report = _lemma_on_grid5(grid5_top, with_pair, lambda sk: sk)
+        assert report["max_same_cluster"] == 20.0 * EPS * MU**2
+
+
+def test_lemma_rejects_extra_edge(grid5_top):
+    def corrupt(sk):
+        return dataclasses.replace(sk, real_edges=sk.real_edges + [(1, 2, 1.0)])
+
+    with pytest.raises(AssertionError, match="edges over"):
+        _lemma_on_grid5(grid5_top, False, corrupt)
+
+
+def test_lemma_rejects_disconnected_vertex(grid5_top):
+    # vertex 1 loses its fake edge and another edge is doubled: still
+    # nv - 1 edges, but 1 is unreachable
+    def corrupt(sk):
+        fake = [e for e in sk.fake_edges if e[0] != 1]
+        return dataclasses.replace(sk, fake_edges=fake + [fake[0]])
+
+    with pytest.raises(AssertionError, match="does not span"):
+        _lemma_on_grid5(grid5_top, False, corrupt)
+
+
+def test_lemma_rejects_stretched_fake_edge(grid5_top):
+    # vertex 1 now hangs 21.5 eps mu^i from 0, in its own subcluster
+    def corrupt(sk):
+        w = 21.5 * EPS * MU**2
+        return dataclasses.replace(sk, fake_edges=_reweight(sk.fake_edges, 1, 0, w))
+
+    with pytest.raises(AssertionError, match="same-cluster distance"):
+        _lemma_on_grid5(grid5_top, False, corrupt)
+
+
+def test_lemma_rejects_pair_gap(grid5_top):
+    # the inter-cluster edge 10-15 cuts the pair's subclusters apart and
+    # no subcluster in two; 200 more on it pushes the gap (268) past 396
+    def corrupt(sk):
+        inter = _reweight(sk.inter_cluster, 10, 15, 201.0)
+        return dataclasses.replace(sk, inter_cluster=inter)
+
+    with pytest.raises(AssertionError, match="pair gap"):
+        _lemma_on_grid5(grid5_top, True, corrupt)
+
+
+def test_lemma_rejects_glue_monotonicity_breach(grid5_top):
+    # 18 hangs from 14, the glued path of its subcluster, 5 farther than
+    # 10 eps mu^i; its same-cluster distances stay under 21 eps mu^i
+    def corrupt(sk):
+        w = 10.0 * EPS * MU**2 + 5.0
+        return dataclasses.replace(sk, fake_edges=_reweight(sk.fake_edges, 18, 14, w))
+
+    with pytest.raises(AssertionError, match="glue monotonicity broken at vertex 18"):
+        _lemma_on_grid5(grid5_top, False, corrupt)
