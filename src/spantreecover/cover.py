@@ -61,7 +61,6 @@ class CoverConfig:
     mode: str = "demand"  # demand | exhaustive | theory
     pairs: Optional[list[tuple[int, int]]] = None
     seed: int = 42
-    sample_size: int = 10_000
     check: bool = True
 
     def validate(self) -> None:
@@ -88,12 +87,11 @@ class TreeCover:
     def tree_oracles(self, g: WeightedGraph) -> list[TreeOracle]:
         """One ``TreeOracle`` per tree, with its edges weighted by ``g``.
 
-        The oracles are built once and shared by every graph that gives each
-        tree edge the weight it has in the graph they were built over, such
-        as a graph and a greedy spanner of it. Raises ValueError naming the
-        tree and the edge when a tree edge is not in ``g``.
+        The oracles are built once per graph object and kept for the last
+        graph asked for. Raises ValueError naming the tree and the edge when
+        a tree edge is not in ``g``.
         """
-        if self._oracles is None or not self._same_tree_weights(g):
+        if self._oracle_graph is not g:
             oracles = []
             for j, t in enumerate(self.trees):
                 try:
@@ -102,20 +100,6 @@ class TreeCover:
                     raise self._missing_edge(g, j) from None
             self._oracles, self._oracle_graph = oracles, g
         return self._oracles
-
-    def _same_tree_weights(self, g: WeightedGraph) -> bool:
-        h = self._oracle_graph
-        if h is g:
-            return True
-        if h is None or h.n != g.n:
-            return False
-        for j, t in enumerate(self.trees):
-            try:
-                if any(g.weight(u, v) != h.weight(u, v) for u, v in t.edges):
-                    return False
-            except KeyError:
-                raise self._missing_edge(g, j) from None
-        return True
 
     def _missing_edge(self, g: WeightedGraph, j: int) -> ValueError:
         u, v = next(e for e in self.trees[j].edges if not g.has_edge(*e))
@@ -252,7 +236,7 @@ def span_tree_cover(g: WeightedGraph, config: CoverConfig) -> TreeCover:
         demand = (
             config.pairs
             if config.pairs is not None
-            else default_demand_pairs(gs, config.seed, config.sample_size)
+            else default_demand_pairs(gs, config.seed)
         )
     pp = make_pair_preserving(hpf, config.epsilon, demand, dists=dists)
 

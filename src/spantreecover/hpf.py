@@ -174,9 +174,9 @@ def build_subnet_family(
     for i in range(1, L + 1):
         r = mu**i / 3.0
         ni = nets.levels[i]
-        for p in ni:
-            cnt = sum(1 for q in ni if leq(d[p, q], r))
-            sigma = max(sigma, cnt)
+        # per net point, the net points q with leq(d[p, q], r)
+        near = d[np.ix_(ni, ni)] <= r + TOL
+        sigma = max(sigma, int(near.sum(1).max()))
 
     # pass 1: top point seeds subset 0 only, keeping the subsets disjoint
     tilde: list[list[list[int]]] = [[[] for _ in range(L + 1)] for _ in range(sigma)]
@@ -457,11 +457,13 @@ def make_pair_preserving(
     d = hpf.dist
     if dists is None:
         dists = ClusterDistances(hpf.graph, d)
-    # per hierarchy: (level, cluster id) -> ordered distinct subcluster pairs
-    demands: list[dict[tuple[int, int], list[tuple[int, int, float]]]] = [
+    # per hierarchy: (level, cluster id) -> distinct subcluster pairs, in
+    # order of first demand, each mapped to its copy slot
+    demands: list[dict[tuple[int, int], dict[tuple[int, int, float], int]]] = [
         {} for _ in hpf.hierarchies
     ]
-    records: list[tuple[int, int, int, tuple[int, int], tuple[int, int, float], float]] = []
+    # (u, v, hierarchy, node, subcluster pair, copy slot, in-cluster distance)
+    records: list[tuple[int, int, int, tuple[int, int], tuple[int, int, float], int, float]] = []
     unresolved: list[tuple[int, int]] = []
 
     if demanded_pairs == "exhaustive":
@@ -485,7 +487,7 @@ def make_pair_preserving(
                                     (subs[a_i], subs[b_i], hpf.mu**i / sep)
                                 )
                     if entry:
-                        demands[j][(i, cid)] = entry
+                        demands[j][(i, cid)] = {p: t for t, p in enumerate(entry)}
     else:
         sep_cache: dict[tuple[int, int, int], float] = {}
 
@@ -542,26 +544,27 @@ def make_pair_preserving(
                 continue
             j, i, cid, c1, c2, rho_eff, din = hit
             a, b = (c1, c2) if c1 < c2 else (c2, c1)
-            entry = demands[j].setdefault((i, cid), [])
+            slots = demands[j].setdefault((i, cid), {})
             pair = (a, b, rho_eff)
-            if pair not in entry:
-                entry.append(pair)
-            records.append((u, v, j, (i, cid), pair, din))
+            t = slots.setdefault(pair, len(slots))
+            records.append((u, v, j, (i, cid), pair, t, din))
 
     copies: list[HierarchyCopy] = []
     copy_of: dict[tuple[int, int], int] = {}  # (hierarchy, t) -> global copy index
     for j, h in enumerate(hpf.hierarchies):
-        ncopies = max([len(v) for v in demands[j].values()], default=0) or 1
-        for t in range(ncopies):
-            pairs = {
-                node: entry[t] for node, entry in demands[j].items() if t < len(entry)
-            }
+        # copy t takes the pair in slot t of every node that has one
+        per_copy: list[dict] = [{}]
+        for node, slots in demands[j].items():
+            for pair, t in slots.items():
+                if t == len(per_copy):
+                    per_copy.append({})
+                per_copy[t][node] = pair
+        for t, pairs in enumerate(per_copy):
             copy_of[(j, t)] = len(copies)
             copies.append(HierarchyCopy(j, h, t, pairs))
 
     pair_records = []
-    for u, v, j, node, pair, din in records:
-        t = demands[j][node].index(pair)
+    for u, v, j, node, pair, t, din in records:
         pair_records.append(
             PairRecord(
                 u, v, j, copy_of[(j, t)], node[0], node[1], pair[0], pair[1], pair[2], din

@@ -7,18 +7,20 @@ child fell outside the window. Across trees, per-vertex selection labels over
 compressed cluster hierarchies identify, from the two endpoint labels alone,
 a tree that approximately preserves the pair's distance.
 
-Both halves are built in time linear in the output. A tree's tables come
-from one DFS and one reverse-preorder pass, and each child's (interval,
-port) entry is one tuple shared by its parent's children window and its
-siblings' windows. Hierarchy copies share their base partition and differ
-only in their pair assignments, so the compressed subhierarchy of each
-(base hierarchy, top level) is built once as a template: tree shape, leaf
-stamps, depths, heavy children and every vertex's light steps. A copy then
-clones only its paired nodes and their ancestors, and rebuilds apex lists
-only for the vertices below a light child of a paired node; every other
-vertex keeps the template's list. Apex records are frozen and cached per
-(apex, child, pair). Records, apex lists and unpaired subtrees are shared
-between labels and subhierarchies, and are read-only.
+Both halves are built in time linear in the output. A tree's routing state is
+its DFS as flat per-vertex lists, with all children in stamp order in one
+list; a vertex's table is read from these lists, its children and sibling
+windows being two index ranges into the children list. Each simulated
+route is checked against the tree distance from the state's root-path
+weights. Hierarchy copies share their base partition and differ only in
+their pair assignments, so the compressed subhierarchy of each (base
+hierarchy, top level) is built once as a template: tree shape, leaf stamps,
+depths, heavy children and every vertex's light steps. A copy then clones
+only its paired nodes and their ancestors, and rebuilds apex lists only for
+the vertices below a light child of a paired node; every other vertex keeps
+the template's list. Apex records are frozen and cached per (apex, child,
+pair). Records, apex lists and unpaired subtrees are shared between labels
+and subhierarchies, and are read-only.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from typing import Optional
 import numpy as np
 
 from .graphs import TOL, WeightedGraph, dijkstra, greedy_spanner, leq
-from .oracle import TreeOracle
 
 
 class RoutingError(AssertionError):
@@ -98,22 +99,36 @@ def routing_beta(alpha: int, epsilon: float) -> int:
 
 
 @dataclass(slots=True)
-class VertexTable:
-    interval: tuple[int, int]  # own DFS interval; interval[0] is own stamp
-    parent_port: Optional[int]
-    children: list[tuple[tuple[int, int], int]]  # first beta: interval, port
-    parent_interval: Optional[tuple[int, int]]
-    siblings: list[tuple[tuple[int, int], int]]  # next beta: interval, port
-    # port stored for a sibling is the parent's port toward that sibling
-
-
-@dataclass
 class TreeRoutingState:
+    """One tree's DFS as flat per-vertex lists, from which every table is
+    read: a vertex's own interval ``(tstamp, hi)``, its port toward its
+    parent, its parent's interval, and two windows of at most beta entries
+    of ``kids``, which lists each vertex's children in stamp order."""
+
     root: int
     beta: int
     tstamp: list[int]
-    tables: list[VertexTable]
-    parent: list[int]
+    hi: list[int]  # largest stamp in the subtree
+    parent: list[int]  # -1 at the root
+    up_port: list[int]  # port toward the parent, -1 at the root
+    wd: list[float]  # root-path weight sum over the spanner's weights
+    kids: list[int]  # children of u are kids[kid_start[u] : kid_start[u + 1]]
+    kid_start: list[int]
+    kid_port: list[int]  # the parent's port toward kids[i]
+    pos: list[int]  # index of u in kids, -1 at the root
+
+    def children_window(self, u: int) -> range:
+        """Indices into ``kids`` of u's first beta children."""
+        a = self.kid_start[u]
+        return range(a, min(a + self.beta, self.kid_start[u + 1]))
+
+    def sibling_window(self, u: int) -> range:
+        """Indices into ``kids`` of the next beta siblings after u."""
+        p = self.parent[u]
+        if p == -1:
+            return range(0)
+        a = self.pos[u] + 1
+        return range(a, min(a + self.beta, self.kid_start[p + 1]))
 
 
 def build_tree_routing(
@@ -123,8 +138,9 @@ def build_tree_routing(
     epsilon: float,
     beta: Optional[int] = None,
 ) -> TreeRoutingState:
-    """DFS-interval tables for one cover tree, minimum-weight edge first,
-    in time linear in n (plus sorting each vertex's tree edges)."""
+    """DFS-interval routing state for one cover tree, minimum-weight edge
+    first, in time linear in n plus two sorts: each vertex's tree edges,
+    and the children by parent."""
     n = spanner.n
     if beta is None:
         beta = routing_beta(measure_alpha(spanner, epsilon), epsilon)
@@ -143,6 +159,7 @@ def build_tree_routing(
     root = tree.root
     tstamp = [-1] * n
     parent = [-1] * n
+    wd = [0.0] * n
     preorder: list[int] = []
     # weight of the last child stamped under each vertex: DFS child order
     # must agree with nondecreasing edge weight
@@ -158,6 +175,7 @@ def build_tree_routing(
         if p != -1:
             assert leq(last_w[p], w), f"child weights out of order at vertex {p}"
             last_w[p] = w
+            wd[u] = wd[p] + w
         for wv, v in reversed(adj[u]):
             if v != p:
                 stack.append((v, u, wv))
@@ -169,74 +187,69 @@ def build_tree_routing(
         p = parent[u]
         if p != -1 and hi[u] > hi[p]:
             hi[p] = hi[u]
-    interval = [(tstamp[u], hi[u]) for u in range(n)]
 
-    # one (interval, port) entry per child, in stamp order; the parent's
-    # children window and the earlier siblings' windows share the tuple
-    port = ports.ports
-    entries: list[list[tuple[tuple[int, int], int]]] = [[] for _ in range(n)]
-    rank = [0] * n  # position among the parent's children
-    for u in preorder[1:]:
-        p = parent[u]
-        rank[u] = len(entries[p])
-        entries[p].append((interval[u], port[(p, u)]))
-
-    tables: list[VertexTable] = []
+    # children grouped by parent; the sort is stable, so each group keeps
+    # stamp order
+    kids = sorted(preorder[1:], key=parent.__getitem__)
+    kid_start = [0] * (n + 1)
+    pos = [-1] * n
+    for i, c in enumerate(kids):
+        pos[c] = i
+        kid_start[parent[c] + 1] = i + 1
     for u in range(n):
-        kids = entries[u][:beta]
-        p = parent[u]
-        if p == -1:
-            tables.append(VertexTable(interval[u], None, kids, None, []))
-            continue
-        i = rank[u] + 1
-        tables.append(
-            VertexTable(
-                interval[u],
-                port[(u, p)],
-                kids,
-                interval[p],
-                entries[p][i : i + beta],
-            )
-        )
-    return TreeRoutingState(root, beta, tstamp, tables, parent)
+        kid_start[u + 1] = max(kid_start[u + 1], kid_start[u])
+    port = ports.ports
+    kid_port = [port[(parent[c], c)] for c in kids]
+    up_port = [port[(u, p)] if p != -1 else -1 for u, p in enumerate(parent)]
+    return TreeRoutingState(
+        root, beta, tstamp, hi, parent, up_port, wd, kids, kid_start, kid_port, pos
+    )
 
 
 def routing_decision(
-    table: VertexTable, dest_t: int, header: Optional[int]
+    state: TreeRoutingState, u: int, dest_t: int, header: Optional[int]
 ) -> tuple[str, Optional[int], Optional[int]]:
-    """One routing step: ("done", None, None) or ("forward", port, header).
+    """One routing step at u: ("done", None, None) or ("forward", port,
+    header), reading only u's table.
 
     Headers carry at most one port: emitted when the target hides behind a
     sibling window (so the parent can shortcut on arrival), consumed the
     moment the destination falls back inside the current subtree.
     """
-    a, b = table.interval
+    tstamp, hi = state.tstamp, state.hi
+    a = tstamp[u]
     if dest_t == a:
         return ("done", None, None)
-    if a <= dest_t <= b:
-        for (ca, cb), port in table.children:
-            if ca <= dest_t <= cb:
-                return ("forward", port, None)
+    if a <= dest_t <= hi[u]:
+        kids = state.kids
+        window = state.children_window(u)
+        for i in window:
+            c = kids[i]
+            if tstamp[c] <= dest_t <= hi[c]:
+                return ("forward", state.kid_port[i], None)
         if header is not None:
             return ("forward", header, None)
-        if not table.children:
+        if not window:
             raise RoutingError("destination inside a leaf interval")
-        return ("forward", table.children[0][1], None)
-    if table.parent_interval is None:
+        return ("forward", state.kid_port[window[0]], None)
+    p = state.parent[u]
+    if p == -1:
         raise RoutingError("destination outside the root interval")
-    pa, pb = table.parent_interval
-    if not (pa <= dest_t <= pb):
-        return ("forward", table.parent_port, None)
-    for (sa, sb), pport in table.siblings:
-        if sa <= dest_t <= sb:
-            return ("forward", table.parent_port, pport)
-    if dest_t < a:
-        # the target sits at or before the parent in DFS order; climbing
-        # with an empty header lets the parent re-dispatch from the start
-        return ("forward", table.parent_port, None)
-    if not table.siblings:
-        return ("forward", table.parent_port, None)
-    return ("forward", table.parent_port, table.siblings[0][1])
+    up = state.up_port[u]
+    if not (tstamp[p] <= dest_t <= hi[p]):
+        return ("forward", up, None)
+    kids = state.kids
+    window = state.sibling_window(u)
+    for i in window:
+        c = kids[i]
+        if tstamp[c] <= dest_t <= hi[c]:
+            return ("forward", up, state.kid_port[i])
+    if dest_t < a or not window:
+        # the target sits at or before the parent in DFS order, or no
+        # sibling is stored; climbing with an empty header lets the parent
+        # re-dispatch from the start
+        return ("forward", up, None)
+    return ("forward", up, state.kid_port[window[0]])
 
 
 @dataclass
@@ -576,12 +589,9 @@ class RoutingScheme:
     epsilon: float
     alpha: int
     beta: int
-    _oracles: Optional[list[TreeOracle]] = field(default=None, repr=False)
 
-    def tree_oracles(self) -> list[TreeOracle]:
-        if self._oracles is None:
-            self._oracles = self.cover.tree_oracles(self.spanner)
-        return self._oracles
+    def tree_oracles(self) -> list:
+        return self.cover.tree_oracles(self.spanner)
 
 
 def build_routing_scheme(
@@ -621,9 +631,7 @@ def simulate_route(
     cap = 4 * g.n
     done = False
     for _ in range(cap):
-        kind, port, header = routing_decision(
-            state.tables[cur], dest_t, header
-        )
+        kind, port, header = routing_decision(state, cur, dest_t, header)
         if kind == "done":
             done = True
             break
@@ -634,7 +642,13 @@ def simulate_route(
         cur = nxt
     trace = RouteTrace(verts, out_ports, weight, len(out_ports), done)
     if done:
-        dt = scheme.tree_oracles()[tree_idx].dist(s, t)
+        # the tree distance, independently of the walk: climb from s to the
+        # lowest ancestor whose interval holds t
+        tstamp, hi, wd = state.tstamp, state.hi, state.wd
+        a = s
+        while not tstamp[a] <= dest_t <= hi[a]:
+            a = state.parent[a]
+        dt = wd[s] + wd[t] - 2.0 * wd[a]
         assert leq(weight, (1.0 + scheme.epsilon) * dt), (
             f"route weight {weight} exceeds (1+eps) * {dt}"
         )
@@ -666,11 +680,10 @@ def measure_sizes(scheme: RoutingScheme) -> dict:
         label_max = max(label_max, bits)
         tbits = 0
         for state in scheme.states:
-            tab = state.tables[v]
             tbits += 3 * w  # own interval + parent port
             tbits += 2 * w  # parent interval
-            tbits += 3 * w * len(tab.children)
-            tbits += 3 * w * len(tab.siblings)
+            tbits += 3 * w * len(state.children_window(v))  # interval, port
+            tbits += 3 * w * len(state.sibling_window(v))
         table_max = max(table_max, tbits)
     limit = 2**w
     for (u, _), p in scheme.ports.ports.items():

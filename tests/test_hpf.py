@@ -90,6 +90,25 @@ def test_subnet_invariants_grid16_mu6():
     _check_subnet_invariants(generate("grid", {"k": 16}), 6.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "kind, params", [("grid", {"k": 8}), ("random_geometric", {"n": 64})]
+)
+def test_sigma_matches_loop_reference(kind, params):
+    # the packing pre-pass counts with one numpy comparison per level; the
+    # loop of leq calls it replaced must give the same sigma
+    mu = 6.0
+    g, _ = generate(kind, params, seed=1).rescaled()
+    d = apsp(g)
+    nets = build_net_hierarchy(g, mu, 1.0)
+    sigma = 1
+    for i in range(1, len(nets.levels)):
+        ni = nets.levels[i]
+        for p in ni:
+            sigma = max(sigma, sum(1 for q in ni if leq(d[p, q], mu**i / 3.0)))
+    assert sigma > 1
+    assert build_subnet_family(g, nets, mu, dist=d).sigma == sigma
+
+
 def test_subnet_level_zero_is_v():
     g = generate("grid", {"k": 4})
     fam = build_subnet_family(g, build_net_hierarchy(g, 6.0, 1.0), 6.0)

@@ -14,7 +14,7 @@ from spantreecover.cover import (
     cover_stretch,
     span_tree_cover,
 )
-from spantreecover.graphs import WeightedGraph, apsp, dijkstra, generate, greedy_spanner
+from spantreecover.graphs import WeightedGraph, apsp, dijkstra, generate
 from spantreecover.oracle import (
     OracleIndex,
     TreeOracle,
@@ -237,27 +237,6 @@ def test_query_rejects_out_of_range_vertex(grid8, grid8_cover, bad):
         with pytest.raises(ValueError):
             query_path(oracle, grid8, u, v)
     assert oracle.trees_touched == 0
-
-
-@pytest.mark.parametrize("spanner_first", [True, False])
-def test_build_oracle_shares_tree_oracles_with_spanner(spanner_first):
-    # a cover over a greedy spanner of g gives each tree edge the same weight
-    # in g and in the spanner: the oracles over g (the distance oracle) and
-    # over the spanner (the routing scheme's) are one set
-    g = generate("random_geometric", {"n": 40}, seed=2)
-    spanner = greedy_spanner(g, 0.25)
-    assert spanner.m < g.m
-    cover = span_tree_cover(spanner, CoverConfig(check=False))
-    if spanner_first:
-        over_spanner = cover.tree_oracles(spanner)
-        oracle = build_oracle(g, cover)
-    else:
-        oracle = build_oracle(g, cover)
-        over_spanner = cover.tree_oracles(spanner)
-    assert all(a is b for a, b in zip(oracle.trees, over_spanner))
-    fresh = [TreeOracle(g.n, t.edges, t.root, g) for t in cover.trees]
-    for u, v in [(0, 39), (5, 17), (12, 30)]:
-        assert query_distance(oracle, u, v) == _reference_query(fresh, u, v)
 
 
 def test_tree_oracles_follow_the_graph_weights():

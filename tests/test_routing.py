@@ -86,6 +86,27 @@ def test_alpha_bounds_every_window():
 # per-tree tables -------------------------------------------------------
 
 
+def table(state, u):
+    """u's table as (interval, parent port, children, parent interval,
+    siblings), each window entry an (interval, port) pair."""
+
+    def window(rng):
+        kids = state.kids
+        return [
+            ((state.tstamp[kids[i]], state.hi[kids[i]]), state.kid_port[i])
+            for i in rng
+        ]
+
+    p = state.parent[u]
+    return (
+        (state.tstamp[u], state.hi[u]),
+        state.up_port[u] if p != -1 else None,
+        window(state.children_window(u)),
+        (state.tstamp[p], state.hi[p]) if p != -1 else None,
+        window(state.sibling_window(u)),
+    )
+
+
 def path_state(n, beta=None):
     g = unit_path(n)
     tree = SpanningTree([(i, i + 1) for i in range(n - 1)], 0, (0, 0))
@@ -109,11 +130,11 @@ def test_star_intervals_and_sibling_windows():
     ports = assign_ports(g, seed=5)
     state = build_tree_routing(tree, g, ports, EPS, beta=beta)
     assert state.tstamp == list(range(6))
-    assert state.tables[0].interval == (0, 5)
+    assert table(state, 0)[0] == (0, 5)
     for c in range(1, 6):
-        tab = state.tables[c]
-        assert tab.interval == (c, c) and tab.parent_interval == (0, 5)
-        assert tab.siblings == [
+        interval, _, _, parent_interval, siblings = table(state, c)
+        assert interval == (c, c) and parent_interval == (0, 5)
+        assert siblings == [
             ((s, s), ports.ports[(0, s)]) for s in range(c + 1, min(c + beta, 5) + 1)
         ]
 
@@ -121,8 +142,8 @@ def test_star_intervals_and_sibling_windows():
 def test_path_tables_single_child():
     g, ports, state = path_state(6)
     for v in range(5):
-        assert len(state.tables[v].children) == 1
-    assert state.tables[5].children == []
+        assert len(state.children_window(v)) == 1
+    assert table(state, 5)[2] == []
 
 
 def test_star_item2_keeps_smallest_timestamps():
@@ -131,11 +152,11 @@ def test_star_item2_keeps_smallest_timestamps():
     tree = SpanningTree(sorted((0, i) for i in range(1, g.n)), 0, (0, 0))
     ports = assign_ports(g, seed=5)
     state = build_tree_routing(tree, g, ports, EPS, beta=beta)
-    tab = state.tables[0]
-    assert len(tab.children) == beta
+    children = table(state, 0)[2]
+    assert len(children) == beta
     # min-weight-first DFS: child timestamps follow the weight order, so the
     # stored children are exactly the beta lightest ones (stamps 1..beta)
-    assert [iv[0] for iv, _ in tab.children] == list(range(1, beta + 1))
+    assert [iv[0] for iv, _ in children] == list(range(1, beta + 1))
 
 
 def test_descendant_interval_test(grid8, grid8_scheme):
@@ -148,7 +169,7 @@ def test_descendant_interval_test(grid8, grid8_scheme):
             ancestors[v].add(x)
             x = state.parent[x]
     for x in range(n):
-        a, b = state.tables[x].interval
+        a, b = table(state, x)[0]
         for y in range(n):
             inside = a <= state.tstamp[y] <= b
             assert inside == (x in ancestors[y])
@@ -159,8 +180,7 @@ def test_descendant_interval_test(grid8, grid8_scheme):
 
 def test_decision_done():
     _, _, state = path_state(4)
-    tab = state.tables[2]
-    assert routing_decision(tab, tab.interval[0], None) == (
+    assert routing_decision(state, 2, state.tstamp[2], None) == (
         "done",
         None,
         None,
@@ -169,8 +189,7 @@ def test_decision_done():
 
 def test_decision_child_interval():
     g, ports, state = path_state(4)
-    tab = state.tables[0]
-    kind, port, header = routing_decision(tab, state.tstamp[3], None)
+    kind, port, header = routing_decision(state, 0, state.tstamp[3], None)
     assert kind == "forward"
     assert ports.by_port[(0, port)] == 1
     assert header is None
@@ -184,8 +203,8 @@ def test_decision_outside_parent_goes_up():
     tree = SpanningTree(sorted((u, v) for u, v, _ in g.edges), 0, (0, 0))
     ports = assign_ports(g, seed=9)
     state = build_tree_routing(tree, g, ports, EPS, beta=2)
-    tab = state.tables[2]  # leaf under child 1; dest in the other branch
-    kind, port, header = routing_decision(tab, state.tstamp[4], None)
+    # leaf 2 under child 1; dest in the other branch
+    kind, port, header = routing_decision(state, 2, state.tstamp[4], None)
     assert kind == "forward"
     assert ports.by_port[(2, port)] == 1
     assert header is None
@@ -197,11 +216,7 @@ def test_decision_outside_parent_goes_up():
 def manual_scheme(g, tree, beta, epsilon=0.5):
     ports = assign_ports(g, seed=11)
     state = build_tree_routing(tree, g, ports, epsilon, beta=beta)
-    oracle = TreeOracle(g.n, tree.edges, tree.root, g)
-    return RoutingScheme(
-        g, g, None, ports, [state], [], [], epsilon, 0, beta,
-        _oracles=[oracle],
-    )
+    return RoutingScheme(g, g, None, ports, [state], [], [], epsilon, 0, beta)
 
 
 def test_simulate_source_equals_target(grid8_scheme):
@@ -237,6 +252,34 @@ def test_simulate_wide_star_backtracks():
     assert trace.hops > 1  # backtracked before reaching the target
     dt = g.weight(0, last)
     assert trace.weight <= (1 + eps) * dt + 1e-9
+
+
+def test_tree_distance_matches_tree_oracle(grid8_scheme):
+    # the root-path sums of the routing state give the spanner tree distance
+    # bitwise as the LCA oracle does: both add the same weights root-down
+    state = grid8_scheme.states[0]
+    tree = grid8_scheme.cover.trees[0]
+    spanner = grid8_scheme.spanner
+    oracle = TreeOracle(spanner.n, tree.edges, tree.root, spanner)
+    for s in range(spanner.n):
+        for t in range(spanner.n):
+            a = s
+            while not state.tstamp[a] <= state.tstamp[t] <= state.hi[a]:
+                a = state.parent[a]
+            d = state.wd[s] + state.wd[t] - 2.0 * state.wd[a]
+            assert d == oracle.dist(s, t), (s, t)
+
+
+def test_simulate_route_checks_tree_bound():
+    # a route checked against a tree distance shrunk below the walk's weight
+    # must fail the (1 + eps) assertion; the pair's LCA (2) is not the root
+    g = unit_path(6)
+    tree = SpanningTree([(i, i + 1) for i in range(5)], 0, (0, 0))
+    scheme = manual_scheme(g, tree, beta=4)
+    assert simulate_route(scheme, 0, 2, 5).done
+    scheme.states[0].wd[5] = 2.5
+    with pytest.raises(AssertionError, match="exceeds"):
+        simulate_route(scheme, 0, 2, 5)
 
 
 def test_trace_edges_are_real(grid8, grid8_scheme):
@@ -343,9 +386,9 @@ def test_measure_sizes(grid8, grid8_scheme):
 
 def test_path_tables_constant_size():
     _, _, state = path_state(32)
-    for tab in state.tables:
-        assert len(tab.children) <= 1
-        assert len(tab.siblings) <= 1
+    for u in range(32):
+        assert len(state.children_window(u)) <= 1
+        assert len(state.sibling_window(u)) <= 1
 
 
 # pinned output ---------------------------------------------------------
@@ -355,10 +398,7 @@ def routing_digest(scheme):
     """SHA-256 of a canonical dump of every tree's tables and every label."""
     h = hashlib.sha256()
     for st in scheme.states:
-        tables = [
-            (t.interval, t.parent_port, t.children, t.parent_interval, t.siblings)
-            for t in st.tables
-        ]
+        tables = [table(st, u) for u in range(len(st.tstamp))]
         h.update(repr((st.tstamp, st.parent, tables)).encode())
     for lab in scheme.labels:
         apices = [
