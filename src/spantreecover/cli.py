@@ -15,6 +15,7 @@ import sys
 from .cover import (
     CoverConfig,
     cover_stats,
+    cover_stretch,
     default_demand_pairs,
     light_tree_cover,
     load_cover,
@@ -23,9 +24,9 @@ from .cover import (
     span_tree_cover,
     verify_spanning,
 )
-from .graphs import WeightedGraph, apsp, dijkstra, generate, load_graph, save_graph
+from .graphs import WeightedGraph, dijkstra, generate, load_graph, save_graph
 from .hpf import verify_padding
-from .oracle import build_oracle, query_distance, query_path
+from .oracle import build_oracle, query_path
 from .routing import (
     SelectionError,
     build_routing_scheme,
@@ -158,8 +159,6 @@ def cmd_verify(args) -> int:
     report = pair_guarantee_report(g, rebuilt)
     families["pair_guarantee"] = not report["failures"]
     pairs = default_demand_pairs(g, int(p["seed"]))
-    from .cover import cover_stretch
-
     try:
         st = cover_stretch(g, stored, pairs)
         families["stretch_at_least_one"] = all(

@@ -12,16 +12,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .graphs import (
     TOL,
     ClusterDistances,
     WeightedGraph,
+    _DSU,
     apsp,
     dijkstra,
     greedy_spanner,
-    leq,
     mst_weight,
 )
 from .hpf import HPFamily, HierarchyCopy, build_hpf, make_pair_preserving
@@ -112,8 +114,6 @@ def default_demand_pairs(
     """All pairs up to the cap; above it, a seeded sample plus every edge."""
     if g.n <= cap:
         return [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     pairs = {(min(u, v), max(u, v)) for u, v, _ in g.edges}
     sample_size = min(sample_size, g.n * (g.n - 1) // 2)
@@ -290,27 +290,34 @@ def light_tree_cover(
     return cover
 
 
+def _best_trees(
+    oracles: Sequence[TreeOracle], us: np.ndarray, vs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair, the minimum distance over the trees and the smallest tree
+    index attaining it, as ``oracle.query_distance`` picks them."""
+    best = np.full(len(us), math.inf)
+    best_idx = np.full(len(us), -1, dtype=np.int64)
+    for idx, t in enumerate(oracles):
+        d = t.dist_many(us, vs)
+        take = d < best
+        best[take] = d[take]
+        best_idx[take] = idx
+    return best, best_idx
+
+
 def cover_stretch(
     g: WeightedGraph, cover: TreeCover, pairs: Iterable[tuple[int, int]]
 ) -> dict:
     """Min-over-trees stretch per pair, with max/mean summary. Each pair's
     tree is the smallest index attaining the exact minimum, as in
     ``oracle.query_distance``."""
-    import numpy as np
-
     oracles = cover.tree_oracles(g)
     pairs = [(min(u, v), max(u, v)) for u, v in pairs if u != v]
     sources = sorted({u for u, _ in pairs})
     dist = {s: dijkstra(g, s).dist for s in sources}
     us = np.asarray([u for u, _ in pairs], dtype=np.int64)
     vs = np.asarray([v for _, v in pairs], dtype=np.int64)
-    best = np.full(len(pairs), math.inf)
-    best_idx = np.full(len(pairs), -1, dtype=np.int64)
-    for idx, t in enumerate(oracles):
-        d = t.dist_many(us, vs)
-        take = d < best
-        best[take] = d[take]
-        best_idx[take] = idx
+    best, best_idx = _best_trees(oracles, us, vs)
     table = [
         (u, v, float(best[i]) / dist[u][v], int(best_idx[i]))
         for i, (u, v) in enumerate(pairs)
@@ -326,8 +333,6 @@ def cover_stretch(
 def pair_guarantee_report(g: WeightedGraph, cover: TreeCover) -> dict:
     """Check the additive guarantee for every demanded pair's assignment:
     min-tree distance <= in-cluster distance + 44 eps mu^i (scaled units)."""
-    import numpy as np
-
     pp = cover.hpf
     oracles = cover.tree_oracles(g)
     scale = cover.scale
@@ -337,10 +342,7 @@ def pair_guarantee_report(g: WeightedGraph, cover: TreeCover) -> dict:
     if recs:
         us = np.asarray([r.u for r in recs], dtype=np.int64)
         vs = np.asarray([r.v for r in recs], dtype=np.int64)
-        best = np.full(len(recs), math.inf)
-        for t in oracles:
-            best = np.minimum(best, t.dist_many(us, vs))
-        best *= scale
+        best = _best_trees(oracles, us, vs)[0] * scale
         for i, rec in enumerate(recs):
             bound = rec.d_in_cluster + 44.0 * pp.epsilon * pp.mu**rec.level
             gap = float(best[i]) - bound
@@ -363,18 +365,10 @@ def verify_spanning(g: WeightedGraph, cover: TreeCover) -> dict:
         assert len(t.edges) == g.n - 1, (
             f"tree {idx}: {len(t.edges)} edges, expected {g.n - 1}"
         )
-        parent = list(range(g.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        dsu = _DSU(g.n)
         for u, v in t.edges:
-            ru, rv = find(u), find(v)
-            assert ru != rv, f"tree {idx}: cycle at edge ({u},{v})"
-            parent[rv] = ru
+            joined = dsu.union(u, v)
+            assert joined, f"tree {idx}: cycle at edge ({u},{v})"
     return {"trees": len(cover.trees), "spanning": True}
 
 

@@ -1,4 +1,5 @@
-"""Weighted-graph core: storage, I/O, shortest paths, spanners, nets, generators.
+"""Weighted-graph core: storage, I/O, shortest paths, rooted trees, spanners,
+nets, generators.
 
 Graphs are undirected with positive edge weights. Vertices are 0..n-1.
 All algorithms here are deterministic, with a fixed absolute tolerance on
@@ -390,6 +391,45 @@ def apsp(g: WeightedGraph, cap: Optional[int] = None) -> np.ndarray:
     if g.n > cap:
         raise ValueError(f"graph has {g.n} vertices, above the all-pairs cap {cap}")
     return csgraph.dijkstra(graph_csr(g), directed=True)
+
+
+def root_tree(
+    n: int, edges: Iterable[tuple[int, int, float]], root: int
+) -> tuple[list[int], list[int], list[float]]:
+    """Root the tree of (u, v, w) triples over 0 .. n - 1 at ``root``.
+
+    Returns (order, parent, wd): a preorder that visits each vertex's
+    children in (weight, vertex id) order, each vertex's parent (-1 at the
+    root), and wd[v], the edge weights from the root down to v summed in
+    that order. Every caller that roots a tree uses this one walk. Raises
+    AssertionError when the edges do not reach every vertex.
+    """
+    adj: list[list[tuple[float, int]]] = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adj[u].append((w, v))
+        adj[v].append((w, u))
+    order: list[int] = []
+    parent = [-1] * n
+    wd = [0.0] * n
+    seen = [False] * n
+    seen[root] = True
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        base = wd[u]
+        nbrs = adj[u]
+        nbrs.sort(reverse=True)  # the stack pops the lightest child first
+        for w, v in nbrs:
+            if not seen[v]:
+                seen[v] = True
+                parent[v] = u
+                wd[v] = base + w
+                stack.append(v)
+    assert len(order) == n, (
+        f"tree does not span: its edges reach {len(order)} of {n} vertices"
+    )
+    return order, parent, wd
 
 
 class _DSU:

@@ -1,13 +1,17 @@
 """Distance oracle over a tree cover: exact per-tree LCA queries, min-over-
 trees estimates, and path reporting by parent climbs in the argmin tree.
 
-Each tree of n vertices has an Euler tour of length M = 2n - 1 and a sparse
-table of L = bit_length(M) levels, whose entry [k, i] is the shallowest
-vertex among tour positions i .. i + 2^k - 1; an LCA is the shallower of two
-table reads. ``build_oracle`` stacks the tables of all T trees of a cover into
-one (T, L, M) int32 array, T·L·M entries, and each tree's ``TreeOracle``
-reads its own slice of it. ``query_distance`` then answers with one O(T) numpy
-pass over all trees: a fixed number of operations on length-T vectors.
+Each tree of n vertices is rooted by ``graphs.root_tree``, and its sparse
+table covers the n preorder positions in L = bit_length(n) levels: entry
+[k, i] is the shallowest of the parents of the vertices at positions
+i .. i + 2^k - 1. Two distinct vertices at positions a < b meet at the
+shallowest parent over positions a + 1 .. b, so an LCA is the shallower of
+two table reads. The shallowest vertices of a contiguous preorder range are
+children of one vertex, so ties cannot change the answer. ``build_oracle``
+stacks the tables of all T trees of a cover into one (T, L, n) int32 array,
+T·L·n entries, and each tree's ``TreeOracle`` reads its own slice of it.
+``query_distance`` then answers with one O(T) numpy pass over all trees: a
+fixed number of operations on length-T vectors.
 """
 
 from __future__ import annotations
@@ -17,34 +21,32 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, root_tree
 
 
-def _sparse_table(tour: np.ndarray, depth: np.ndarray) -> np.ndarray:
-    """(L, M) table; row k holds, from each tour position i, the shallowest
-    vertex over the 2^k positions starting at i (the tail past M - 2^k is
-    left unset and never read)."""
-    m = len(tour)
-    table = np.empty((m.bit_length(), m), dtype=np.int64)
-    table[0] = tour
+def _sparse_table(up: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """(L, n) table; row k holds, from each preorder position i, the
+    shallowest entry of ``up`` over the 2^k positions starting at i (the
+    tail past n - 2^k, and position 0, the root's, are never read)."""
+    n = len(up)
+    table = np.empty((n.bit_length(), n), dtype=np.int64)
+    table[0] = up
     for k in range(1, len(table)):
         prev, half = table[k - 1], 1 << (k - 1)
-        width = m - (1 << k) + 1
+        width = n - (1 << k) + 1
         left, right = prev[:width], prev[half : half + width]
         table[k, :width] = np.where(depth[right] < depth[left], right, left)
     return table
 
 
 class TreeOracle:
-    """Euler tour + sparse-table RMQ: O(1) LCA and distance on one tree.
+    """Preorder sparse-table RMQ: O(1) LCA and distance on one tree.
 
     Edges are (u, v) pairs weighted by the host graph ``g``, or (u, v, w)
     triples when no host graph is given.
     """
 
-    __slots__ = (
-        "n", "root", "parent", "wdepth", "depth", "_first", "_table", "_depth", "_wd",
-    )
+    __slots__ = ("n", "root", "parent", "wdepth", "_first", "_table", "_depth", "_wd")
 
     def __init__(
         self,
@@ -55,56 +57,29 @@ class TreeOracle:
     ) -> None:
         self.n = n
         self.root = root
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for e in edges:
-            u, v = e[0], e[1]
-            w = g.weight(u, v) if g is not None else e[2]
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        for lst in adj:
-            lst.sort()
-        parent = [-1] * n
-        wdepth = [0.0] * n
+        if g is not None:
+            edges = [(u, v, g.weight(u, v)) for u, v in edges]
+        order, parent, wdepth = root_tree(n, edges, root)
         depth = [0] * n
-        tour: list[int] = []
-        first = [-1] * n
-        # iterative DFS emitting an Euler tour
-        visited = [False] * n
-        visited[root] = True
-        tour.append(root)
-        first[root] = 0
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            u, nbrs = stack[-1]
-            for v, w in nbrs:
-                if not visited[v]:
-                    visited[v] = True
-                    parent[v] = u
-                    wdepth[v] = wdepth[u] + w
-                    depth[v] = depth[u] + 1
-                    first[v] = len(tour)
-                    tour.append(v)
-                    stack.append((v, iter(adj[v])))
-                    break
-            else:
-                stack.pop()
-                if stack:
-                    tour.append(stack[-1][0])
-        assert all(f >= 0 for f in first), "tree does not span all vertices"
+        for v in order[1:]:
+            depth[v] = depth[parent[v]] + 1
         self.parent = parent
         self.wdepth = wdepth
-        self.depth = depth
-        self._wd = np.asarray(wdepth)
-        self._first = np.asarray(first, dtype=np.int64)
+        pre = np.asarray(order, dtype=np.int64)
+        self._first = np.empty(n, dtype=np.int64)
+        self._first[pre] = np.arange(n)
         self._depth = np.asarray(depth, dtype=np.int64)
-        self._table = _sparse_table(np.asarray(tour, dtype=np.int64), self._depth)
+        self._wd = np.asarray(wdepth)
+        self._table = _sparse_table(np.asarray(parent, dtype=np.int64)[pre], self._depth)
 
     def lca(self, u: int, v: int) -> int:
+        if u == v:
+            return u
         a, b = int(self._first[u]), int(self._first[v])
         if a > b:
             a, b = b, a
-        k = (b - a + 1).bit_length() - 1
-        i, j = self._table[k, a], self._table[k, b - (1 << k) + 1]
+        k = (b - a).bit_length() - 1
+        i, j = self._table[k, a + 1], self._table[k, b - (1 << k) + 1]
         return int(i if self._depth[i] <= self._depth[j] else j)
 
     def dist(self, u: int, v: int) -> float:
@@ -112,15 +87,18 @@ class TreeOracle:
         return self.wdepth[u] + self.wdepth[v] - 2.0 * self.wdepth[w]
 
     def dist_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Vectorized tree distances for aligned vertex arrays."""
+        """Vectorized tree distances for aligned vertex arrays; 0 where
+        ``us == vs``."""
         a = self._first[us]
         b = self._first[vs]
-        lo = np.minimum(a, b)
+        same = a == b
+        # a pair u == v reads position a, in bounds, and keeps u
+        lo = np.minimum(a, b) - same
         hi = np.maximum(a, b)
-        k = np.frexp(hi - lo + 1)[1] - 1
-        i = self._table[k, lo]
+        k = np.frexp(hi - lo)[1] - 1
+        i = self._table[k, lo + 1]
         j = self._table[k, hi - np.left_shift(1, k) + 1]
-        lca = np.where(self._depth[i] <= self._depth[j], i, j)
+        lca = np.where(same, us, np.where(self._depth[i] <= self._depth[j], i, j))
         return self._wd[us] + self._wd[vs] - 2.0 * self._wd[lca]
 
     def path(self, u: int, v: int) -> list[int]:
@@ -138,7 +116,7 @@ class TreeOracle:
 class OracleIndex:
     """The LCA data of all T trees of a cover, stacked: ``first``, ``depth``
     and ``wdepth`` are (n, T), so a vertex's values over all trees are one
-    contiguous row, and ``table`` is (T, L, M). ``trees[t]`` reads column or
+    contiguous row, and ``table`` is (T, L, n). ``trees[t]`` reads column or
     slice t of these arrays."""
 
     trees: list[TreeOracle]
@@ -150,13 +128,15 @@ class OracleIndex:
     trees_touched: int = 0  # query-cost instrumentation
 
     def __post_init__(self) -> None:
-        t, levels, m = self.table.shape
-        # per tree, the flat offset of its table; per span hi - lo, the
-        # offset of level k = floor(log2(hi - lo + 1)) and 2^k - 1
-        log = np.frexp(np.arange(1, m + 1))[1] - 1
-        self._tree_off = np.arange(t, dtype=np.int64) * (levels * m)
-        self._level_off = log * m
-        self._back = (1 << log) - 1
+        t, levels, n = self.table.shape
+        # per tree, the flat offset of its table; per span hi - lo > 0, the
+        # offset of level k = floor(log2(hi - lo)) plus one and 2^k, so that
+        # the two reads are at lo + 1 and hi - 2^k + 1
+        log = np.frexp(np.arange(n))[1] - 1
+        log[0] = 0  # span 0 is u == v, answered before any read
+        self._tree_off = np.arange(t, dtype=np.int64) * (levels * n)
+        self._level_off = log * n + 1
+        self._back = 1 << log
         self._col = np.arange(t, dtype=np.int64)
 
 
@@ -175,9 +155,8 @@ def build_oracle(g: WeightedGraph, cover) -> OracleIndex:
                 f"tree of the graph's {n} vertices has {n - 1}"
             )
     trees = cover.tree_oracles(g)
-    m = 2 * n - 1
     first = np.empty((n, t), dtype=np.int32)
-    table = np.empty((t, m.bit_length(), m), dtype=np.int32)
+    table = np.empty((t, n.bit_length(), n), dtype=np.int32)
     depth = np.empty((n, t), dtype=np.int32)
     wdepth = np.empty((n, t))
     for j, tor in enumerate(trees):
@@ -211,8 +190,8 @@ def query_distance(oracle: OracleIndex, u: int, v: int) -> tuple[float, int]:
     row = oracle._tree_off + oracle._level_off[span]
     table = oracle.table.reshape(-1)
     # flat indices x*T + tree in the (n, T) arrays of the two candidates for
-    # each tree's LCA; x*T stays below 2^31 in int32, since the (T, L, M)
-    # table that fits in memory has more than n*T entries
+    # each tree's LCA; x*T stays below 2^31 in int32, since the (T, L, n)
+    # table that fits in memory has at least n*T entries
     i = table[row + lo] * t + oracle._col
     j = table[row + hi - oracle._back[span]] * t + oracle._col
     depth = oracle.depth.reshape(-1)

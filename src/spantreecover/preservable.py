@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import INF, TOL, ClusterDistances, WeightedGraph, dijkstra, leq
+from .graphs import INF, TOL, ClusterDistances, WeightedGraph, dijkstra, leq, root_tree
 from .hpf import Hierarchy
 
 
@@ -355,7 +355,8 @@ def verify_preservable_set(
 def _sketch_walk(
     sketch: SketchGraph,
 ) -> tuple[dict[int, int], list[int], list[int], list[float]]:
-    """Relabel the sketch onto 0 .. nv - 1 and walk it from index 0.
+    """Relabel the sketch onto 0 .. nv - 1 and root it at index 0 with
+    ``root_tree``.
 
     Returns (index, parent, order, wd): ``order`` lists every vertex after
     its parent, and wd[v] sums the edge weights from the root down to v, in
@@ -364,25 +365,8 @@ def _sketch_walk(
     nv, ne = len(sketch.vertices), sketch.edge_count
     assert ne == nv - 1, f"sketch has {ne} edges over {nv} vertices"
     index = {v: i for i, v in enumerate(sketch.vertices)}
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(nv)]
-    for edges in (sketch.real_edges, sketch.fake_edges, sketch.inter_cluster):
-        for u, v, w in edges:
-            a, b = index[u], index[v]
-            adj[a].append((b, w))
-            adj[b].append((a, w))
-    parent = [-1] * nv
-    wd = [0.0] * nv
-    seen = [False] * nv
-    seen[0] = True
-    order = [0]
-    for u in order:
-        for v, w in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                wd[v] = wd[u] + w
-                order.append(v)
-    assert len(order) == nv, "sketch does not span all its vertices"
+    edges = sketch.real_edges + sketch.fake_edges + sketch.inter_cluster
+    order, parent, wd = root_tree(nv, [(index[u], index[v], w) for u, v, w in edges], 0)
     return index, parent, order, wd
 
 

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import TOL, WeightedGraph, dijkstra, greedy_spanner, leq
+from .graphs import TOL, WeightedGraph, greedy_spanner, leq, root_tree
 
 
 class RoutingError(AssertionError):
@@ -138,48 +138,24 @@ def build_tree_routing(
     epsilon: float,
     beta: Optional[int] = None,
 ) -> TreeRoutingState:
-    """DFS-interval routing state for one cover tree, minimum-weight edge
-    first, in time linear in n plus two sorts: each vertex's tree edges,
-    and the children by parent."""
+    """DFS-interval routing state for one cover tree, read from its
+    ``graphs.root_tree`` walk (minimum-weight edge first), in time linear in
+    n plus two sorts: each vertex's tree edges, and the children by parent."""
     n = spanner.n
     if beta is None:
         beta = routing_beta(measure_alpha(spanner, epsilon), epsilon)
 
-    adj: list[list[tuple[float, int]]] = [[] for _ in range(n)]
+    edges = []
     for u, v in tree.edges:
         try:
-            w = spanner.weight(u, v)
+            edges.append((u, v, spanner.weight(u, v)))
         except KeyError:
             raise RoutingError(f"tree edge ({u},{v}) not in the spanner") from None
-        adj[u].append((w, v))
-        adj[v].append((w, u))
-    for lst in adj:
-        lst.sort()
-
     root = tree.root
-    tstamp = [-1] * n
-    parent = [-1] * n
-    wd = [0.0] * n
-    preorder: list[int] = []
-    # weight of the last child stamped under each vertex: DFS child order
-    # must agree with nondecreasing edge weight
-    last_w = [-math.inf] * n
-    stack = [(root, -1, 0.0)]
-    while stack:
-        u, p, w = stack.pop()
-        if tstamp[u] != -1:
-            continue
-        tstamp[u] = len(preorder)
-        preorder.append(u)
-        parent[u] = p
-        if p != -1:
-            assert leq(last_w[p], w), f"child weights out of order at vertex {p}"
-            last_w[p] = w
-            wd[u] = wd[p] + w
-        for wv, v in reversed(adj[u]):
-            if v != p:
-                stack.append((v, u, wv))
-    assert len(preorder) == n, "tree does not span the graph"
+    preorder, parent, wd = root_tree(n, edges, root)
+    tstamp = [0] * n
+    for i, u in enumerate(preorder):
+        tstamp[u] = i
 
     # subtree intervals: max descendant timestamp, children before parents
     hi = tstamp[:]
@@ -193,9 +169,16 @@ def build_tree_routing(
     kids = sorted(preorder[1:], key=parent.__getitem__)
     kid_start = [0] * (n + 1)
     pos = [-1] * n
+    # root-path weight of the last child seen under each vertex: child
+    # (stamp) order must agree with nondecreasing edge weight, and siblings
+    # add their edge weights to the same parent sum
+    last_wd = [-math.inf] * n
     for i, c in enumerate(kids):
+        p = parent[c]
+        assert leq(last_wd[p], wd[c]), f"child weights out of order at vertex {p}"
+        last_wd[p] = wd[c]
         pos[c] = i
-        kid_start[parent[c] + 1] = i + 1
+        kid_start[p + 1] = i + 1
     for u in range(n):
         kid_start[u + 1] = max(kid_start[u + 1], kid_start[u])
     port = ports.ports

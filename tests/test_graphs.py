@@ -21,6 +21,7 @@ from spantreecover.graphs import (
     greedy_spanner,
     load_graph,
     mst_weight,
+    root_tree,
     validate_graph,
 )
 
@@ -391,3 +392,14 @@ def test_rescaled_min_weight_one():
     gs, s = g.rescaled()
     assert s == pytest.approx(2.0)
     assert gs.min_weight() == pytest.approx(1.0)
+
+
+def test_root_tree_preorder_by_weight_then_id():
+    # root 2 has children 4 (w 1), 0 and 3 (both w 2, so by id); 0 has 1
+    edges = [(2, 0, 2.0), (0, 1, 0.5), (3, 2, 2.0), (2, 4, 1.0)]
+    order, parent, wd = root_tree(5, edges, 2)
+    assert order == [2, 4, 0, 1, 3]
+    assert parent == [2, 0, -1, 2, 2]
+    assert wd == [2.0, 2.5, 0.0, 2.0, 1.0]
+    with pytest.raises(AssertionError, match="does not span"):
+        root_tree(5, edges[:3], 2)

@@ -68,10 +68,12 @@ def test_dist_many_agrees_with_dist(grid8, grid8_cover):
     t = grid8_cover.trees[0]
     oracle = TreeOracle(grid8.n, t.edges, t.root, grid8)
     us = np.arange(grid8.n, dtype=np.int64)
-    vs = np.roll(us, 7)
+    # the rolled pairs, then every u == v pair, whose preorder range is empty
+    us, vs = np.concatenate([us, us]), np.concatenate([np.roll(us, 7), us])
     bulk = oracle.dist_many(us, vs)
-    for i in range(grid8.n):
+    for i in range(len(us)):
         assert bulk[i] == pytest.approx(oracle.dist(int(us[i]), int(vs[i])))
+    assert (bulk[grid8.n :] == 0.0).all()
 
 
 @settings(max_examples=30, deadline=None)
@@ -165,6 +167,13 @@ def test_oracle_index_tree_count(grid8, grid8_cover):
     assert len(oracle.trees) == len(grid8_cover.trees)
 
 
+def test_oracle_table_covers_preorder_positions(grid8, grid8_cover):
+    # one column per preorder position, not per Euler-tour position
+    oracle = build_oracle(grid8, grid8_cover)
+    t, n = len(grid8_cover.trees), grid8.n
+    assert oracle.table.shape == (t, n.bit_length(), n)
+
+
 def _reference_query(trees, u, v):
     """The per-tree loop: exact minimum, first tree attaining it."""
     ds = [t.dist(u, v) for t in trees]
@@ -205,7 +214,7 @@ def test_batched_estimate_exact_random_covers(data):
     g = WeightedGraph(n, [(u, v, w) for (u, v), w in sorted(weights.items())])
     oracle = build_oracle(g, TreeCover(trees, {}, 1.0))
     fresh = [TreeOracle(n, t.edges, t.root, g) for t in trees]
-    assert oracle.table.shape == (count, (2 * n - 1).bit_length(), 2 * n - 1)
+    assert oracle.table.shape == (count, n.bit_length(), n)
     for u in range(n):
         assert query_distance(oracle, u, u) == (0.0, 0)
         for v in range(n):
