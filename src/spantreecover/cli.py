@@ -24,7 +24,7 @@ from .cover import (
     span_tree_cover,
     verify_spanning,
 )
-from .graphs import WeightedGraph, dijkstra, generate, load_graph, save_graph
+from .graphs import WeightedGraph, apsp, generate, load_graph, save_graph
 from .hpf import verify_padding
 from .oracle import build_oracle, query_path
 from .routing import (
@@ -190,7 +190,7 @@ def cmd_route(args) -> int:
     cfg = _config_from_args(args)
     scheme = build_routing_scheme(g, cfg.epsilon, config=cfg, seed=args.seed)
     pairs = _parse_pairs(args.pairs, g, args.seed)
-    d = {u: dijkstra(g, u).dist for u in sorted({u for u, _ in pairs})}
+    d = apsp(g)
     rows = []
     failures = []
     worst = 1.0
@@ -202,7 +202,7 @@ def cmd_route(args) -> int:
         except SelectionError:
             failures.append((u, v))
             continue
-        stretch = trace.weight / d[u][v]
+        stretch = trace.weight / float(d[u, v])
         worst = max(worst, stretch)
         rows.append((u, v, idx, trace.hops, trace.weight, stretch))
     if args.out:

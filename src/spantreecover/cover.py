@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -22,12 +22,11 @@ from .graphs import (
     WeightedGraph,
     _DSU,
     apsp,
-    dijkstra,
     greedy_spanner,
     mst_weight,
 )
 from .hpf import HPFamily, HierarchyCopy, build_hpf, make_pair_preserving
-from .oracle import TreeOracle
+from .oracle import OracleIndex, TreeOracle, stack_trees
 from .preservable import (
     build_preservable_set,
     build_sketch_graph,
@@ -83,29 +82,21 @@ class TreeCover:
     scale: float
     hpf: HPFamily = field(repr=False, default=None)
     diagnostics: dict = field(default_factory=dict)
-    _oracles: Optional[list[TreeOracle]] = field(default=None, repr=False)
-    _oracle_graph: Optional[WeightedGraph] = field(default=None, repr=False)
+    _index: Optional[OracleIndex] = field(default=None, repr=False)
+    _index_graph: Optional[WeightedGraph] = field(default=None, repr=False)
+
+    def oracle_index(self, g: WeightedGraph) -> OracleIndex:
+        """The trees' stacked LCA data with edges weighted by ``g``, built
+        once per graph object and kept for the last graph asked for. Raises
+        ValueError naming a malformed tree (see ``oracle.stack_trees``)."""
+        if self._index_graph is not g:
+            trees = [(t.edges, t.root) for t in self.trees]
+            self._index, self._index_graph = stack_trees(g.n, trees, g), g
+        return self._index
 
     def tree_oracles(self, g: WeightedGraph) -> list[TreeOracle]:
-        """One ``TreeOracle`` per tree, with its edges weighted by ``g``.
-
-        The oracles are built once per graph object and kept for the last
-        graph asked for. Raises ValueError naming the tree and the edge when
-        a tree edge is not in ``g``.
-        """
-        if self._oracle_graph is not g:
-            oracles = []
-            for j, t in enumerate(self.trees):
-                try:
-                    oracles.append(TreeOracle(g.n, t.edges, t.root, g))
-                except KeyError:  # from g.weight
-                    raise self._missing_edge(g, j) from None
-            self._oracles, self._oracle_graph = oracles, g
-        return self._oracles
-
-    def _missing_edge(self, g: WeightedGraph, j: int) -> ValueError:
-        u, v = next(e for e in self.trees[j].edges if not g.has_edge(*e))
-        return ValueError(f"cover tree {j}: edge ({u}, {v}) is not in the graph")
+        """One ``TreeOracle`` per tree: the views of ``oracle_index(g)``."""
+        return self.oracle_index(g).trees
 
 
 def default_demand_pairs(
@@ -277,8 +268,7 @@ def light_tree_cover(
     g: WeightedGraph, epsilon: float, config: Optional[CoverConfig] = None
 ) -> TreeCover:
     """Cover over the greedy spanner; trees inherit its lightness."""
-    config = config or CoverConfig(epsilon=epsilon)
-    config.epsilon = epsilon
+    config = replace(config or CoverConfig(), epsilon=epsilon)
     spanner = greedy_spanner(g, epsilon)
     cover = span_tree_cover(spanner, config)
     mst = mst_weight(g)
@@ -313,14 +303,12 @@ def cover_stretch(
     ``oracle.query_distance``."""
     oracles = cover.tree_oracles(g)
     pairs = [(min(u, v), max(u, v)) for u, v in pairs if u != v]
-    sources = sorted({u for u, _ in pairs})
-    dist = {s: dijkstra(g, s).dist for s in sources}
     us = np.asarray([u for u, _ in pairs], dtype=np.int64)
     vs = np.asarray([v for _, v in pairs], dtype=np.int64)
     best, best_idx = _best_trees(oracles, us, vs)
+    ratio = best / apsp(g)[us, vs]
     table = [
-        (u, v, float(best[i]) / dist[u][v], int(best_idx[i]))
-        for i, (u, v) in enumerate(pairs)
+        (u, v, float(ratio[i]), int(best_idx[i])) for i, (u, v) in enumerate(pairs)
     ]
     ratios = [r for _, _, r, _ in table]
     return {

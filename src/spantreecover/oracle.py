@@ -1,22 +1,23 @@
 """Distance oracle over a tree cover: exact per-tree LCA queries, min-over-
 trees estimates, and path reporting by parent climbs in the argmin tree.
 
-Each tree of n vertices is rooted by ``graphs.root_tree``, and its sparse
-table covers the n preorder positions in L = bit_length(n) levels: entry
-[k, i] is the shallowest of the parents of the vertices at positions
-i .. i + 2^k - 1. Two distinct vertices at positions a < b meet at the
-shallowest parent over positions a + 1 .. b, so an LCA is the shallower of
-two table reads. The shallowest vertices of a contiguous preorder range are
-children of one vertex, so ties cannot change the answer. ``build_oracle``
-stacks the tables of all T trees of a cover into one (T, L, n) int32 array,
-T·L·n entries, and each tree's ``TreeOracle`` reads its own slice of it.
-``query_distance`` then answers with one O(T) numpy pass over all trees: a
-fixed number of operations on length-T vectors.
+``stack_trees`` roots each of T trees once with ``graphs.root_tree`` and
+writes it straight into the stack, the only copy of its data: preorder
+positions, depths and root-path sums as (n, T) arrays, so that a vertex's
+values over all trees are one contiguous row; parents as (T, n) int32; and
+sparse tables as (T, L, n) int32 with L = max(1, bit_length(n - 1)), the
+fewest levels that cover a span of n - 1. Entry [t, k, i] is the shallowest
+parent of tree t's vertices at preorder positions i .. i + 2^k - 1. Two
+distinct vertices at positions a < b meet at the shallowest parent over
+positions a + 1 .. b, so an LCA is the shallower of two table reads; the
+shallowest vertices of a contiguous preorder range are children of one
+vertex, so ties cannot change the answer. A ``TreeOracle`` is a view of one
+tree's slices, and ``query_distance`` answers with one O(T) numpy pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,108 +25,79 @@ import numpy as np
 from .graphs import WeightedGraph, root_tree
 
 
-def _sparse_table(up: np.ndarray, depth: np.ndarray) -> np.ndarray:
-    """(L, n) table; row k holds, from each preorder position i, the
-    shallowest entry of ``up`` over the 2^k positions starting at i (the
-    tail past n - 2^k, and position 0, the root's, are never read)."""
-    n = len(up)
-    table = np.empty((n.bit_length(), n), dtype=np.int64)
-    table[0] = up
-    for k in range(1, len(table)):
-        prev, half = table[k - 1], 1 << (k - 1)
-        width = n - (1 << k) + 1
-        left, right = prev[:width], prev[half : half + width]
-        table[k, :width] = np.where(depth[right] < depth[left], right, left)
-    return table
-
-
 class TreeOracle:
-    """Preorder sparse-table RMQ: O(1) LCA and distance on one tree.
+    """O(1) LCA and distance on tree t of an ``OracleIndex``: a view that
+    reads the tree's slices of the stack and holds no data of its own.
 
-    Edges are (u, v) pairs weighted by the host graph ``g``, or (u, v, w)
-    triples when no host graph is given.
+    ``TreeOracle(n, edges, root, g)`` stacks the one tree. Edges are (u, v)
+    pairs weighted by the host graph ``g``, or (u, v, w) triples when no
+    host graph is given.
     """
 
-    __slots__ = ("n", "root", "parent", "wdepth", "_first", "_table", "_depth", "_wd")
+    __slots__ = ("_index", "_t")
 
     def __init__(
-        self,
-        n: int,
-        edges: Sequence[tuple],
-        root: int,
-        g: Optional[WeightedGraph] = None,
+        self, n: int, edges: Sequence[tuple], root: int, g: Optional[WeightedGraph] = None
     ) -> None:
-        self.n = n
-        self.root = root
-        if g is not None:
-            edges = [(u, v, g.weight(u, v)) for u, v in edges]
-        order, parent, wdepth = root_tree(n, edges, root)
-        depth = [0] * n
-        for v in order[1:]:
-            depth[v] = depth[parent[v]] + 1
-        self.parent = parent
-        self.wdepth = wdepth
-        pre = np.asarray(order, dtype=np.int64)
-        self._first = np.empty(n, dtype=np.int64)
-        self._first[pre] = np.arange(n)
-        self._depth = np.asarray(depth, dtype=np.int64)
-        self._wd = np.asarray(wdepth)
-        self._table = _sparse_table(np.asarray(parent, dtype=np.int64)[pre], self._depth)
+        self._index, self._t = stack_trees(n, [(edges, root)], g), 0
 
     def lca(self, u: int, v: int) -> int:
         if u == v:
             return u
-        a, b = int(self._first[u]), int(self._first[v])
+        s, t = self._index, self._t
+        a, b = s.first.item(u, t), s.first.item(v, t)
         if a > b:
             a, b = b, a
         k = (b - a).bit_length() - 1
-        i, j = self._table[k, a + 1], self._table[k, b - (1 << k) + 1]
-        return int(i if self._depth[i] <= self._depth[j] else j)
+        i, j = s.table.item(t, k, a + 1), s.table.item(t, k, b - (1 << k) + 1)
+        return i if s.depth.item(i, t) <= s.depth.item(j, t) else j
 
     def dist(self, u: int, v: int) -> float:
-        w = self.lca(u, v)
-        return self.wdepth[u] + self.wdepth[v] - 2.0 * self.wdepth[w]
+        wd, t = self._index.wdepth.item, self._t
+        return wd(u, t) + wd(v, t) - 2.0 * wd(self.lca(u, v), t)
 
     def dist_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorized tree distances for aligned vertex arrays; 0 where
         ``us == vs``."""
-        a = self._first[us]
-        b = self._first[vs]
+        s, t = self._index, self._t
+        a = s.first[us, t]
+        b = s.first[vs, t]
         same = a == b
         # a pair u == v reads position a, in bounds, and keeps u
         lo = np.minimum(a, b) - same
         hi = np.maximum(a, b)
         k = np.frexp(hi - lo)[1] - 1
-        i = self._table[k, lo + 1]
-        j = self._table[k, hi - np.left_shift(1, k) + 1]
-        lca = np.where(same, us, np.where(self._depth[i] <= self._depth[j], i, j))
-        return self._wd[us] + self._wd[vs] - 2.0 * self._wd[lca]
+        i = s.table[t, k, lo + 1]
+        j = s.table[t, k, hi - np.left_shift(1, k) + 1]
+        lca = np.where(same, us, np.where(s.depth[i, t] <= s.depth[j, t], i, j))
+        wd = s.wdepth[:, t]
+        return wd[us] + wd[vs] - 2.0 * wd[lca]
 
     def path(self, u: int, v: int) -> list[int]:
         w = self.lca(u, v)
+        parent = memoryview(self._index.parent[self._t])  # reads Python ints
         up = [u]
         while up[-1] != w:
-            up.append(self.parent[up[-1]])
+            up.append(parent[up[-1]])
         down = [v]
         while down[-1] != w:
-            down.append(self.parent[down[-1]])
+            down.append(parent[down[-1]])
         return up + down[-2::-1]
 
 
 @dataclass
 class OracleIndex:
-    """The LCA data of all T trees of a cover, stacked: ``first``, ``depth``
-    and ``wdepth`` are (n, T), so a vertex's values over all trees are one
-    contiguous row, and ``table`` is (T, L, n). ``trees[t]`` reads column or
-    slice t of these arrays."""
+    """The stacked LCA data of T trees (see the module docstring);
+    ``trees[j]`` is a view of tree j's slices, made unless given."""
 
-    trees: list[TreeOracle]
     first: np.ndarray = field(repr=False)
     table: np.ndarray = field(repr=False)
     depth: np.ndarray = field(repr=False)
     wdepth: np.ndarray = field(repr=False)
+    parent: np.ndarray = field(repr=False)
     params: dict = field(default_factory=dict)
     trees_touched: int = 0  # query-cost instrumentation
+    trees: Optional[list[TreeOracle]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         t, levels, n = self.table.shape
@@ -138,37 +110,73 @@ class OracleIndex:
         self._level_off = log * n + 1
         self._back = 1 << log
         self._col = np.arange(t, dtype=np.int64)
+        if self.trees is None:
+            self.trees = [TreeOracle.__new__(TreeOracle) for _ in range(t)]
+            for j, tree in enumerate(self.trees):
+                tree._index, tree._t = self, j
+
+
+def stack_trees(
+    n: int, trees: Sequence[tuple[Sequence[tuple], int]], g: Optional[WeightedGraph] = None
+) -> OracleIndex:
+    """The stacked LCA data of ``trees``, (edges, root) pairs over 0 .. n - 1,
+    with edges weighted as in ``TreeOracle``.
+
+    Raises ValueError naming the tree when it does not have n - 1 edges, its
+    root is outside range(n), an edge is not in ``g``, or its edges close a
+    cycle."""
+    t = len(trees)
+    first = np.empty((n, t), dtype=np.int32)
+    depth = np.empty((n, t), dtype=np.int32)
+    wdepth = np.empty((n, t))
+    parent = np.empty((t, n), dtype=np.int32)
+    table = np.empty((t, max(1, (n - 1).bit_length()), n), dtype=np.int32)
+    for j, (edges, root) in enumerate(trees):
+        if len(edges) != n - 1:
+            raise ValueError(
+                f"cover tree {j} has {len(edges)} edges; a spanning "
+                f"tree of the graph's {n} vertices has {n - 1}"
+            )
+        if not 0 <= root < n:
+            raise ValueError(f"cover tree {j}: root {root} outside range(0, {n})")
+        if g is not None:
+            try:
+                edges = [(u, v, g.weight(u, v)) for u, v in edges]
+            except KeyError:
+                u, v = next(e for e in edges if not g.has_edge(*e))
+                raise ValueError(
+                    f"cover tree {j}: edge ({u}, {v}) is not in the graph"
+                ) from None
+        try:
+            order, up, wd = root_tree(n, edges, root)
+        except AssertionError as exc:  # n - 1 edges that miss a vertex
+            raise ValueError(f"cover tree {j} has a cycle: {exc}") from None
+        d = [0] * n
+        for v in order[1:]:
+            d[v] = d[up[v]] + 1
+        pre = np.asarray(order)
+        first[pre, j] = np.arange(n)
+        depth[:, j], wdepth[:, j], parent[j] = d, wd, up
+        table[j, 0] = parent[j, pre]
+    # level k from level k - 1 for all trees at once; the tail past
+    # n - 2^k, and position 0, the root's, are never read
+    col = np.arange(t, dtype=np.int32)[:, None]
+    flat = depth.reshape(-1)
+    for k in range(1, table.shape[1]):
+        prev, half = table[:, k - 1], 1 << (k - 1)
+        width = n - (1 << k) + 1
+        left, right = prev[:, :width], prev[:, half : half + width]
+        shallower = flat[right * t + col] < flat[left * t + col]
+        table[:, k, :width] = np.where(shallower, right, left)
+    return OracleIndex(first, table, depth, wdepth, parent)
 
 
 def build_oracle(g: WeightedGraph, cover) -> OracleIndex:
-    """Stacked LCA data of every cover tree over ``g``.
-
-    The trees are ``cover.tree_oracles(g)``, so a cover whose oracles were
-    built already (over ``g`` or over a spanner of it) keeps one set. Raises
-    ValueError naming the tree and the edge when a tree does not have n - 1
-    edges or has an edge that is not in ``g``."""
-    n, t = g.n, len(cover.trees)
-    for j, tree in enumerate(cover.trees):
-        if len(tree.edges) != n - 1:
-            raise ValueError(
-                f"cover tree {j} has {len(tree.edges)} edges; a spanning "
-                f"tree of the graph's {n} vertices has {n - 1}"
-            )
-    trees = cover.tree_oracles(g)
-    first = np.empty((n, t), dtype=np.int32)
-    table = np.empty((t, n.bit_length(), n), dtype=np.int32)
-    depth = np.empty((n, t), dtype=np.int32)
-    wdepth = np.empty((n, t))
-    for j, tor in enumerate(trees):
-        # copy the tree's arrays into the stack and point the tree at its
-        # slice, so that only the stacked copy stays alive
-        first[:, j], table[j], depth[:, j], wdepth[:, j] = (
-            tor._first, tor._table, tor._depth, tor._wd
-        )
-        tor._first, tor._table, tor._depth, tor._wd = (
-            first[:, j], table[j], depth[:, j], wdepth[:, j]
-        )
-    return OracleIndex(trees, first, table, depth, wdepth, dict(cover.params))
+    """Stacked LCA data of every cover tree over ``g``: the index that
+    ``cover.oracle_index(g)`` keeps, so no tree is rooted twice for one
+    graph object, with its own query count and the cover's parameters.
+    Raises ValueError for a malformed tree, as ``stack_trees`` does."""
+    return replace(cover.oracle_index(g), params=dict(cover.params), trees_touched=0)
 
 
 def query_distance(oracle: OracleIndex, u: int, v: int) -> tuple[float, int]:

@@ -206,6 +206,41 @@ def test_oracle_tree_edge_not_in_graph(tmp_path, capsys, grid4_file):
     assert "error: cover tree 2: edge (0, 5) is not in the graph" in capsys.readouterr().err
 
 
+def _oracle_on_broken_tree(tmp_path, grid4_file, edit):
+    """Exit code of ``oracle`` over a grid4 cover whose tree 1 ``edit``
+    changes in place."""
+    cov = tmp_path / "cover.json"
+    assert main(["cover", "--graph", grid4_file, "--out", str(cov)]) == 0
+    doc = json.loads(cov.read_text())
+    edit(doc["trees"][1])
+    cov.write_text(json.dumps(doc))
+    q = tmp_path / "q.txt"
+    q.write_text("0 15\n")
+    return main(
+        ["oracle", "--graph", grid4_file, "--cover", str(cov), "--queries", str(q)]
+    )
+
+
+def test_oracle_tree_root_out_of_range(tmp_path, capsys, grid4_file):
+    rc = _oracle_on_broken_tree(tmp_path, grid4_file, lambda t: t.update(root=16))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error: cover tree 1: root 16 outside range(0, 16)" in err
+    assert "Traceback" not in err
+
+
+def test_oracle_tree_with_cycle(tmp_path, capsys, grid4_file):
+    # 15 grid edges: the four rows, two verticals joining rows 0-2, and a
+    # third vertical closing the cycle 0-1-5-4; row 3 is left unreached
+    rows = [[4 * r + c, 4 * r + c + 1] for r in range(4) for c in range(3)]
+    cycle = rows + [[0, 4], [4, 8], [1, 5]]
+    rc = _oracle_on_broken_tree(tmp_path, grid4_file, lambda t: t.update(edges=cycle))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error: cover tree 1 has a cycle" in err
+    assert "Traceback" not in err
+
+
 def test_route_config_flags_validated(grid4_file, capsys):
     assert main(["route", "--graph", grid4_file, "--mu", "1"]) == 2
     assert "mu must be at least 2" in capsys.readouterr().err

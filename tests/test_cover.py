@@ -157,6 +157,13 @@ def test_light_cover_tree_input():
     assert cover.params["individual_lightness"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_light_cover_leaves_the_config_alone():
+    config = CoverConfig(epsilon=0.5, check=False)
+    cover = light_tree_cover(tree_graph(), 0.25, config)
+    assert config == CoverConfig(epsilon=0.5, check=False)
+    assert cover.params["epsilon"] == 0.25
+
+
 def test_light_cover_bounded_by_spanner(grid8):
     cover = light_tree_cover(grid8, 0.25)
     spanner = greedy_spanner(grid8, 0.25)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import unit_path
+from spantreecover import oracle as oracle_mod
 from spantreecover.cover import (
     CoverConfig,
     SpanningTree,
@@ -14,7 +15,7 @@ from spantreecover.cover import (
     cover_stretch,
     span_tree_cover,
 )
-from spantreecover.graphs import WeightedGraph, apsp, dijkstra, generate
+from spantreecover.graphs import WeightedGraph, apsp, dijkstra, generate, root_tree
 from spantreecover.oracle import (
     OracleIndex,
     TreeOracle,
@@ -171,7 +172,7 @@ def test_oracle_table_covers_preorder_positions(grid8, grid8_cover):
     # one column per preorder position, not per Euler-tour position
     oracle = build_oracle(grid8, grid8_cover)
     t, n = len(grid8_cover.trees), grid8.n
-    assert oracle.table.shape == (t, n.bit_length(), n)
+    assert oracle.table.shape == (t, max(1, (n - 1).bit_length()), n)
 
 
 def _reference_query(trees, u, v):
@@ -214,7 +215,7 @@ def test_batched_estimate_exact_random_covers(data):
     g = WeightedGraph(n, [(u, v, w) for (u, v), w in sorted(weights.items())])
     oracle = build_oracle(g, TreeCover(trees, {}, 1.0))
     fresh = [TreeOracle(n, t.edges, t.root, g) for t in trees]
-    assert oracle.table.shape == (count, n.bit_length(), n)
+    assert oracle.table.shape == (count, max(1, (n - 1).bit_length()), n)
     for u in range(n):
         assert query_distance(oracle, u, u) == (0.0, 0)
         for v in range(n):
@@ -256,3 +257,31 @@ def test_tree_oracles_follow_the_graph_weights():
     assert other[0] is not first[0] and other[0].dist(0, 2) == 6.0
     with pytest.raises(ValueError, match=r"cover tree 0: edge \(1, 2\) is not in the graph"):
         cover.tree_oracles(WeightedGraph(3, [(0, 1, 1.0), (0, 2, 1.0)]))
+
+
+def test_tree_oracles_are_views_of_the_stack(grid8, grid8_cover):
+    # each tree's LCA data lives once, in the stack: a TreeOracle holds no
+    # list and reads only the stacked arrays
+    oracle = build_oracle(grid8, grid8_cover)
+    held = [getattr(t, name) for t in oracle.trees for name in TreeOracle.__slots__]
+    assert not any(isinstance(x, (list, np.ndarray)) for x in held)
+    names = ("first", "table", "depth", "wdepth", "parent")
+    for tree in oracle.trees:
+        for name in names:
+            read = getattr(tree._index, name)
+            assert np.shares_memory(read, getattr(oracle, name)), name
+
+
+def test_each_tree_rooted_once_per_graph(grid8, grid8_cover, monkeypatch):
+    cover = TreeCover(grid8_cover.trees, dict(grid8_cover.params), grid8_cover.scale)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return root_tree(*args)
+
+    monkeypatch.setattr(oracle_mod, "root_tree", counting)
+    cover.tree_oracles(grid8)
+    build_oracle(grid8, cover)
+    cover_stretch(grid8, cover, [(0, 9), (3, 60)])
+    assert len(calls) == len(cover.trees)
