@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 from .graphs import (
     TOL,
@@ -133,86 +134,131 @@ def path_preserving_tree(
 ) -> tuple[set[tuple[int, int]], set[int]]:
     """Spanning tree of G[cluster] union pi, as (edge set, vertex set).
 
-    ``memo`` caches the edge sets of finished subtrees across hierarchy
-    copies: two copies that agree on the incoming highway and on every pair
-    assigned inside the subtree produce identical trees, which is the common
-    case away from the one cluster whose pair distinguishes the copies.
-    ``path_cache`` holds, per base hierarchy, what the path systems, their
-    sketches and their checks repeat: member-to-subcluster maps, pair
-    paths, glue descents, searches towards pi, nearest anchors and path
-    detours (see ``preservable``). ``dists`` holds the in-cluster distances
-    and shortest-path trees. All three live for one construction.
+    ``memo``, ``path_cache`` and ``dists`` are those of ``_Recursion``;
+    pass the same ones to several calls to share their work.
     """
-    hier = copy.base
-    cluster = hier.clusters[cluster_id]
-    if not pi:
-        pi = [cluster.representative]
-    if len(cluster.members) == 1:
-        edges = {(min(a, b), max(a, b)) for a, b in zip(pi, pi[1:])}
-        return edges, cluster.members | set(pi)
-
-    memo_key = None
-    if memo is not None:
-        sig = tuple(
-            sorted(
-                (node, entry[:2])
-                for node, entry in copy.pairs.items()
-                if node[0] <= level
-                and hier.clusters[node[1]].members <= cluster.members
-            )
-        )
-        memo_key = (copy.base_index, cluster_id, level, tuple(pi), sig)
-        hit = memo.get(memo_key)
-        if hit is not None:
-            return hit, {v for e in hit for v in e}
-
-    pair_entry = copy.pairs.get((level, cluster_id))
-    pair = pair_entry[:2] if pair_entry else None
-    mu_i = mu**level
-    if path_cache is None:
-        path_cache = {}
-    cache = path_cache.setdefault(copy.base_index, {})
-    pset = build_preservable_set(
-        g, hier, cluster_id, level, ell, pi, pair, mu_i, epsilon,
-        cache=cache, dists=dists,
+    rec = _Recursion(
+        g, ell, mu, epsilon, check, theory_mode, diagnostics,
+        {} if memo is None else memo,
+        ClusterDistances(g) if dists is None else dists,
+        {} if path_cache is None else path_cache,
     )
-    if check:
-        verify_preservable_set(g, pset, hier, cluster_id, level, ell, cache=cache)
-        sketch = build_sketch_graph(
-            g, pset, hier, cluster_id, level, ell, mu_i, epsilon, cache=cache
-        )
-        report = verify_preservable_lemma(
-            g, pset=pset, sketch=sketch, hier=hier, cluster_id=cluster_id,
-            level=level, ell=ell, pair=pair, mu_i=mu_i, epsilon=epsilon,
-            theory_mode=theory_mode, dists=dists, cache=cache,
-        )
-        if diagnostics is not None:
-            diagnostics.setdefault("nodes_checked", 0)
-            diagnostics["nodes_checked"] += 1
-            diagnostics["max_diam_ratio"] = max(
-                diagnostics.get("max_diam_ratio", 0.0), report["diam_ratio"]
-            )
-
-    edges: set[tuple[int, int]] = {
-        (min(a, b), max(a, b)) for a, b in pset.inter_cluster
-    }
-    isub = max(level - ell, 0)
-    for cid in sorted(set(member_clusters(hier, cluster_id, isub, cache).values())):
-        sub_pi = pset.paths[pset.touch[cid]]
-        sub_edges, _ = path_preserving_tree(
-            g, copy, cid, isub, sub_pi, ell, mu, epsilon,
-            check=check, theory_mode=theory_mode, diagnostics=diagnostics,
-            memo=memo, dists=dists, path_cache=path_cache,
-        )
-        edges |= sub_edges
-
-    verts = set(cluster.members) | {v for p in pset.paths for v in p}
-    assert len(edges) == len(verts) - 1, (
-        f"cluster {cluster_id}: {len(edges)} edges over {len(verts)} vertices"
-    )
-    if memo is not None:
-        memo[memo_key] = edges
+    codes = rec.tree(copy, _pairs_by_ancestor(copy), cluster_id, level, pi)
+    edges = {divmod(c, g.n) for c in codes.tolist()}
+    verts = set(copy.base.clusters[cluster_id].members).union(*edges)
     return edges, verts
+
+
+def _pairs_by_ancestor(copy: HierarchyCopy) -> dict[int, list]:
+    """Per cluster id, the copy's pair assignments at that cluster and at
+    its descendants, as ((level, cluster id), (subcluster, subcluster))."""
+    out: dict[int, list] = {}
+    for node, entry in copy.pairs.items():
+        c = node[1]
+        while c is not None:
+            out.setdefault(c, []).append((node, entry[:2]))
+            c = copy.base.clusters[c].parent
+    return out
+
+
+@dataclass
+class _Recursion:
+    """The recursion of one construction and what its calls share.
+
+    A subtree's edges are a sorted int64 array of codes u * n + v, u < v.
+    ``memo`` keeps them across hierarchy copies: two copies that agree on
+    the incoming highway and on every pair assigned inside the subtree
+    produce identical trees, which is the common case away from the one
+    cluster whose pair distinguishes the copies. ``path_cache`` holds, per
+    base hierarchy, what the path systems, their sketches and their checks
+    repeat: member-to-subcluster maps, pair paths, glue descents, searches
+    towards pi, nearest anchors and path detours (see ``preservable``).
+    ``dists`` holds the in-cluster distances and shortest-path trees.
+    """
+
+    g: WeightedGraph
+    ell: int
+    mu: float
+    epsilon: float
+    check: bool
+    theory_mode: bool
+    diagnostics: Optional[dict]
+    memo: dict
+    dists: ClusterDistances
+    path_cache: dict
+
+    def path_codes(self, paths: Iterable[Sequence[int]]) -> list[int]:
+        """Codes of the paths' edges; an edge (a, b) is a path too."""
+        n = self.g.n
+        return [a * n + b if a < b else b * n + a for p in paths for a, b in zip(p, p[1:])]
+
+    def tree(
+        self, copy: HierarchyCopy, by_ancestor: dict, cluster_id: int, level: int, pi: list[int]
+    ) -> np.ndarray:
+        """Edge codes of the spanning tree of G[cluster] union pi.
+        ``by_ancestor`` is ``_pairs_by_ancestor(copy)``."""
+        hier = copy.base
+        cluster = hier.clusters[cluster_id]
+        if not pi:
+            pi = [cluster.representative]
+        if len(cluster.members) == 1:
+            return np.asarray(self.path_codes([pi]), dtype=np.int64)
+        sig = tuple(sorted(x for x in by_ancestor.get(cluster_id, ()) if x[0][0] <= level))
+        memo_key = (copy.base_index, cluster_id, level, tuple(pi), sig)
+        hit = self.memo.get(memo_key)
+        if hit is not None:
+            return hit
+
+        g, ell, epsilon = self.g, self.ell, self.epsilon
+        pair_entry = copy.pairs.get((level, cluster_id))
+        pair = pair_entry[:2] if pair_entry else None
+        mu_i = self.mu**level
+        cache = self.path_cache.setdefault(copy.base_index, {})
+        pset = build_preservable_set(
+            g, hier, cluster_id, level, ell, pi, pair, mu_i, epsilon,
+            cache=cache, dists=self.dists,
+        )
+        if self.check:
+            verify_preservable_set(g, pset, hier, cluster_id, level, ell, cache=cache)
+            sketch = build_sketch_graph(
+                g, pset, hier, cluster_id, level, ell, mu_i, epsilon, cache=cache
+            )
+            report = verify_preservable_lemma(
+                g, pset=pset, sketch=sketch, hier=hier, cluster_id=cluster_id,
+                level=level, ell=ell, pair=pair, mu_i=mu_i, epsilon=epsilon,
+                theory_mode=self.theory_mode, dists=self.dists, cache=cache,
+            )
+            diagnostics = self.diagnostics
+            if diagnostics is not None:
+                diagnostics.setdefault("nodes_checked", 0)
+                diagnostics["nodes_checked"] += 1
+                diagnostics["max_diam_ratio"] = max(
+                    diagnostics.get("max_diam_ratio", 0.0), report["diam_ratio"]
+                )
+
+        # a singleton subcluster's tree is its touching path, added once
+        # per path
+        parts = []
+        single_paths: set[int] = set()
+        isub = max(level - ell, 0)
+        for cid in sorted(set(member_clusters(hier, cluster_id, isub, cache).values())):
+            touch = pset.touch[cid]
+            if len(hier.clusters[cid].members) == 1:
+                single_paths.add(touch)
+            else:
+                parts.append(self.tree(copy, by_ancestor, cid, isub, pset.paths[touch]))
+        flat = self.path_codes(pset.paths[k] for k in sorted(single_paths))
+        flat += self.path_codes(pset.inter_cluster)
+        parts.append(np.asarray(flat, dtype=np.int64))
+        codes = np.unique(np.concatenate(parts))
+
+        members = cluster.members
+        nverts = len(members) + len({v for p in pset.paths for v in p if v not in members})
+        assert len(codes) == nverts - 1, (
+            f"cluster {cluster_id}: {len(codes)} edges over {nverts} vertices"
+        )
+        self.memo[memo_key] = codes
+        return codes
 
 
 def span_tree_cover(g: WeightedGraph, config: CoverConfig) -> TreeCover:
@@ -233,19 +279,20 @@ def span_tree_cover(g: WeightedGraph, config: CoverConfig) -> TreeCover:
 
     trees: list[SpanningTree] = []
     diagnostics: dict = {}
-    memo: dict = {}
-    path_cache: dict = {}
+    rec = _Recursion(
+        gs, pp.ell, pp.mu, pp.epsilon, config.check, config.mode == "theory",
+        diagnostics, {}, dists, {},
+    )
+    # one (u, v) tuple per graph edge, shared by every tree's edge list; a
+    # code that is no edge of g gets its own, for verify_spanning to report
+    edge_of = {u * gs.n + v: (u, v) for u, v, _ in gs.edges}
     for copy_idx, copy in enumerate(pp.copies):
+        by_ancestor = _pairs_by_ancestor(copy)
+        top = copy.base.levels[copy.base.i_max][0]
         for level in pp.top_tree_levels(copy.base_index):
-            top = copy.base.levels[copy.base.i_max][0]
-            edges, verts = path_preserving_tree(
-                gs, copy, top, level, [], pp.ell, pp.mu, pp.epsilon,
-                check=config.check, theory_mode=config.mode == "theory",
-                diagnostics=diagnostics, memo=memo, dists=dists,
-                path_cache=path_cache,
-            )
-            assert verts == set(range(g.n))
-            trees.append(SpanningTree(sorted(edges), 0, (copy_idx, level)))
+            codes = rec.tree(copy, by_ancestor, top, level, []).tolist()
+            edges = [edge_of.get(c) or divmod(c, gs.n) for c in codes]
+            trees.append(SpanningTree(edges, 0, (copy_idx, level)))
 
     params = {
         "epsilon": config.epsilon,
@@ -327,16 +374,15 @@ def pair_guarantee_report(g: WeightedGraph, cover: TreeCover) -> dict:
     worst = -math.inf
     failures = []
     recs = pp.pair_records
-    if recs:
-        us = np.asarray([r.u for r in recs], dtype=np.int64)
-        vs = np.asarray([r.v for r in recs], dtype=np.int64)
-        best = _best_trees(oracles, us, vs)[0] * scale
-        for i, rec in enumerate(recs):
-            bound = rec.d_in_cluster + 44.0 * pp.epsilon * pp.mu**rec.level
-            gap = float(best[i]) - bound
-            worst = max(worst, gap)
-            if gap > TOL:
-                failures.append((rec.u, rec.v, float(best[i]), bound))
+    if len(recs):
+        best = _best_trees(oracles, recs.u, recs.v)[0] * scale
+        levels, at = np.unique(recs.level, return_inverse=True)
+        slack = np.asarray([44.0 * pp.epsilon * pp.mu**i for i in levels.tolist()])
+        bound = recs.d_in_cluster + slack[at]
+        gap = best - bound
+        worst = float(gap.max())
+        for k in np.flatnonzero(gap > TOL).tolist():
+            failures.append((int(recs.u[k]), int(recs.v[k]), float(best[k]), float(bound[k])))
     return {
         "pairs_checked": len(pp.pair_records),
         "unresolved": list(pp.unresolved_pairs),
@@ -345,19 +391,59 @@ def pair_guarantee_report(g: WeightedGraph, cover: TreeCover) -> dict:
     }
 
 
+# tree vertices per numpy pass of verify_spanning: all trees of a large cover
+# at once would hold every edge of every tree in a few arrays
+_SPAN_VERTICES = 1 << 15
+
+
 def verify_spanning(g: WeightedGraph, cover: TreeCover) -> dict:
-    """Assert every tree is a spanning tree using only graph edges."""
-    for idx, t in enumerate(cover.trees):
-        for u, v in t.edges:
-            assert g.has_edge(u, v), f"tree {idx}: edge ({u},{v}) not in graph"
-        assert len(t.edges) == g.n - 1, (
-            f"tree {idx}: {len(t.edges)} edges, expected {g.n - 1}"
-        )
-        dsu = _DSU(g.n)
-        for u, v in t.edges:
-            joined = dsu.union(u, v)
-            assert joined, f"tree {idx}: cycle at edge ({u},{v})"
+    """Assert every tree is a spanning tree using only graph edges.
+
+    A chunk of trees, about _SPAN_VERTICES tree vertices, is checked at a
+    time in numpy: every edge against g's edges, the edge count, and one
+    connected-components pass over the chunk's trees side by side. A tree
+    that fails is checked again edge by edge, which words the failure."""
+    n = g.n
+    eu, ev, _ = g.edge_columns()
+    graph_codes = eu * n + ev
+    chunk = max(1, _SPAN_VERTICES // max(n, 1))
+    for lo in range(0, len(cover.trees), chunk):
+        trees = cover.trees[lo : lo + chunk]
+        counts = np.asarray([len(t.edges) for t in trees], dtype=np.int64)
+        ends = [e for t in trees for e in t.edges]
+        ends = np.asarray(ends).reshape(-1, 2) if ends else np.empty((0, 2), dtype=np.int64)
+        bad = counts != n - 1
+        if ends.dtype.kind in "iu":
+            owner = np.repeat(np.arange(len(trees)), counts)
+            a, b = ends.min(axis=1), ends.max(axis=1)
+            ok = (a >= 0) & (b < n) & np.isin(a * n + b, graph_codes)
+            bad[owner[~ok]] = True
+            off = owner[ok] * n
+            side_by_side = csr_matrix(
+                (np.ones(len(off)), (a[ok] + off, b[ok] + off)),
+                shape=(len(trees) * n, len(trees) * n),
+            )
+            labels = csgraph.connected_components(side_by_side, directed=False)[1]
+            labels = labels.reshape(len(trees), n)
+            bad |= (labels != labels[:, :1]).any(axis=1)
+        else:
+            bad[:] = True  # ids that are not integers: check edge by edge
+        for k in np.flatnonzero(bad).tolist():
+            _check_tree(g, lo + k, trees[k])
     return {"trees": len(cover.trees), "spanning": True}
+
+
+def _check_tree(g: WeightedGraph, idx: int, t: SpanningTree) -> None:
+    """Assert tree ``idx`` is a spanning tree of g, edge by edge."""
+    for u, v in t.edges:
+        assert g.has_edge(u, v), f"tree {idx}: edge ({u},{v}) not in graph"
+    assert len(t.edges) == g.n - 1, (
+        f"tree {idx}: {len(t.edges)} edges, expected {g.n - 1}"
+    )
+    dsu = _DSU(g.n)
+    for u, v in t.edges:
+        joined = dsu.union(u, v)
+        assert joined, f"tree {idx}: cycle at edge ({u},{v})"
 
 
 def save_cover(cover: TreeCover, path: str) -> None:
@@ -379,15 +465,26 @@ def save_cover(cover: TreeCover, path: str) -> None:
 
 
 def load_cover(path: str) -> TreeCover:
+    """Read a cover written by ``save_cover``. Raises ValueError naming the
+    tree when a root or an edge end is not an integer vertex id."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    trees = [
-        SpanningTree(
-            [tuple(e) for e in t["edges"]], t["root"], tuple(t["provenance"])
-        )
-        for t in doc["trees"]
-    ]
+    trees = []
+    for j, t in enumerate(doc["trees"]):
+        root, edges = t["root"], [tuple(e) for e in t["edges"]]
+        if not _is_id(root):
+            raise ValueError(f"cover tree {j}: root {root!r} is not an integer vertex id")
+        for e in edges:
+            if len(e) != 2 or not (_is_id(e[0]) and _is_id(e[1])):
+                raise ValueError(
+                    f"cover tree {j}: edge {list(e)} is not a pair of integer vertex ids"
+                )
+        trees.append(SpanningTree(edges, root, tuple(t["provenance"])))
     return TreeCover(trees, doc["params"], doc["params"].get("scale", 1.0))
+
+
+def _is_id(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def cover_stats(g: WeightedGraph, cover: TreeCover, pairs=None) -> dict:

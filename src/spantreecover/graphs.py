@@ -5,17 +5,23 @@ Graphs are undirected with positive edge weights. Vertices are 0..n-1.
 All algorithms here are deterministic, with a fixed absolute tolerance on
 float comparisons. Two shortest-path kernels serve the package:
 
-- ``dijkstra`` answers every search that needs *paths*. It settles vertices
-  in (distance, vertex id) order, and of two equal-length parents (within
-  tolerance) the one with the smaller vertex id wins, so the paths that
-  become tree edges do not depend on heap order.
-- ``scipy.sparse.csgraph.dijkstra`` answers the searches that need
-  *distances only*: ``apsp`` and the in-cluster blocks of
-  ``ClusterDistances`` (strong diameters, pair distances). It takes the
-  exact float minimum over paths, which is the sum ``dijkstra`` keeps on
-  the graphs built here, and its compiled loop avoids the per-vertex cost of
-  the Python heap. No tie rule applies to a distance, so the choice of
-  kernel cannot change any output.
+- ``scipy.sparse.csgraph.dijkstra`` computes every distance the
+  construction reads: ``apsp``, and the in-cluster blocks of
+  ``ClusterDistances`` (strong diameters, pair distances). Nets read rows of
+  the all-pairs matrix. The paths that become tree edges are read off the
+  same blocks: ``ClusterDistances.tree`` gives each vertex the smallest-id
+  in-cluster neighbour that lies on a shortest path to it, which is the
+  parent ``dijkstra``'s tie rule picks, and climbs those parents.
+- ``dijkstra``, a heap search in Python, answers the searches that leave the
+  induced subgraph: the checks' spans and nearest anchors, which also walk
+  path edges outside the cluster, and the greedy spanner's cut-off search.
+  It settles vertices in (distance, vertex id) order, and of two
+  equal-length parents (within tolerance) the one with the smaller vertex id
+  wins, so its paths do not depend on heap order.
+
+csgraph takes the exact float minimum over paths, which is the sum
+``dijkstra`` keeps on the graphs built here, so the choice of kernel cannot
+change any output.
 """
 
 from __future__ import annotations
@@ -211,15 +217,12 @@ class ShortestPathTree:
     """Result of a single-source run: distances plus deterministic parents.
 
     ``reached`` is the vertex of ``stop`` the run ended at, or None.
-    ``settled`` lists the vertices in the order the run settled them; with
-    a cutoff, that is every vertex within it and at most one beyond.
     """
 
     source: int
     dist: list[float]
     parent: list[int]
     reached: Optional[int] = None
-    settled: list[int] = field(default_factory=list)
 
     def path_to(self, v: int) -> list[int]:
         """Vertex sequence source..v; raises if v is unreachable."""
@@ -265,7 +268,6 @@ def dijkstra(
     parent = [-1] * g.n
     dist[source] = 0.0
     done = [False] * g.n
-    settled: list[int] = []
     reached = None
     heap: list[tuple[float, int]] = [(0.0, source)]
     while heap:
@@ -273,7 +275,6 @@ def dijkstra(
         if done[u] or d > dist[u] + TOL:
             continue
         done[u] = True
-        settled.append(u)
         if stop is not None and u in stop:
             reached = u
             break
@@ -295,7 +296,7 @@ def dijkstra(
                 heapq.heappush(heap, (nd, v))
             elif nd <= dist[v] + TOL and not done[v] and u < parent[v]:
                 parent[v] = u
-    return ShortestPathTree(source, dist, parent, reached, settled)
+    return ShortestPathTree(source, dist, parent, reached)
 
 
 def graph_csr(g: WeightedGraph) -> csr_matrix:
@@ -319,49 +320,111 @@ def _positions(idx: np.ndarray, verts) -> np.ndarray:
     return pos
 
 
+def _position(idx: np.ndarray, v: int) -> int:
+    """Position of the vertex v in the sorted vertex array ``idx``."""
+    pos = int(idx.searchsorted(v))
+    if pos == len(idx) or idx[pos] != v:
+        raise ValueError("vertex outside the cluster")
+    return pos
+
+
+@dataclass
+class ClusterTree:
+    """A shortest-path tree of G[members] from one source, read off the
+    cluster's distance block. ``idx`` holds the sorted members, and ``dist``
+    and ``parent`` are indexed by position in it; ``parent`` is -1 at the
+    source and at unreached vertices."""
+
+    source: int
+    idx: np.ndarray
+    dist: np.ndarray
+    parent: np.ndarray
+
+    def path_to(self, v: int) -> list[int]:
+        """Vertex sequence source..v; raises if v is unreachable."""
+        pos = _position(self.idx, v)
+        if self.dist[pos] == INF:
+            raise ValueError(f"vertex {v} not reached from {self.source}")
+        parent = self.parent
+        out = [pos]
+        while parent[out[-1]] >= 0:
+            out.append(int(parent[out[-1]]))
+        return self.idx[out[::-1]].tolist()
+
+    def nearest(self, targets) -> Optional[int]:
+        """The reached vertex of ``targets`` (members) with the smallest
+        (distance, id), the one a search that stops at ``targets`` settles
+        first; None when none is reached."""
+        if not targets:
+            return None
+        t = np.asarray(sorted(targets), dtype=np.int64)
+        dt = self.dist[_positions(self.idx, t)]
+        k = int(np.argmin(dt))  # the first of equal minima has the smallest id
+        return None if dt[k] == INF else int(t[k])
+
+
 class ClusterDistances:
     """Distances and shortest-path trees inside induced subgraphs
-    G[members], each computed once.
+    G[members].
 
     One instance serves one construction: the sigma hierarchies rebuild the
     same clusters, and strong diameters, pair assignment, the path systems
     and the pair-bound check all search the same clusters from the same
     sources. Distances come from one csgraph call per distinct member set:
     the |C| x |C| block of G[C], rows and columns in sorted member order.
-    ``full`` (the all-pairs matrix of g, optional) answers the clusters that
-    span the whole graph. Trees, which the path systems read paths from,
-    come from ``dijkstra``.
+    ``full`` (the all-pairs matrix of g, optional) is the block of the
+    clusters that span the whole graph. Trees are read off the blocks.
     """
 
     def __init__(self, g: WeightedGraph, full: Optional[np.ndarray] = None) -> None:
         self.g = g
         self.full = full
         self.csr = graph_csr(g)
-        self._trees: dict[tuple[frozenset[int], int], ShortestPathTree] = {}
         self._blocks: dict[frozenset[int], tuple[np.ndarray, np.ndarray]] = {}
-
-    def tree(self, members: frozenset[int], source: int) -> ShortestPathTree:
-        """``dijkstra(g, source, restrict=members)``."""
-        key = (members, source)
-        spt = self._trees.get(key)
-        if spt is None:
-            spt = self._trees[key] = dijkstra(self.g, source, restrict=members)
-        return spt
+        self._arcs: dict[frozenset[int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def _block(self, members: frozenset[int]) -> tuple[np.ndarray, np.ndarray]:
         """(sorted members, all-pairs distances of G[members])."""
         hit = self._blocks.get(members)
         if hit is None:
-            idx = np.sort(np.fromiter(members, dtype=np.int64, count=len(members)))
-            sub = self.csr[idx][:, idx]
-            hit = self._blocks[members] = (idx, csgraph.dijkstra(sub, directed=True))
+            if self.full is not None and len(members) == self.g.n:
+                idx, block = np.arange(self.g.n), self.full
+            else:
+                idx = np.sort(np.fromiter(members, dtype=np.int64, count=len(members)))
+                block = csgraph.dijkstra(self.csr[idx][:, idx], directed=True)
+            hit = self._blocks[members] = (idx, block)
         return hit
+
+    def tree(self, members: frozenset[int], source: int) -> ClusterTree:
+        """The tree of ``dijkstra(g, source, restrict=members)``: the parent
+        of v is its smallest-id neighbour u in ``members`` with
+        d(u) + w(u, v) <= d(v) + TOL, distances from the block."""
+        idx, block = self._block(members)
+        arcs = self._arcs.get(members)
+        if arcs is None:
+            # (head, tail, weight) of each arc of G[members], over member
+            # positions, sorted by head and then tail
+            sub = self.csr[idx][:, idx]
+            sub.sort_indices()
+            heads = np.repeat(np.arange(len(idx), dtype=np.int32), np.diff(sub.indptr))
+            arcs = self._arcs[members] = (heads, sub.indices, sub.data)
+        heads, tails, w = arcs
+        s = _position(idx, source)
+        dist = block[s]
+        ok = dist[tails] + w <= dist[heads] + TOL
+        h, t = heads[ok], tails[ok]
+        # each head's first ok arc has the smallest-id tail
+        first = np.ones(len(h), dtype=bool)
+        first[1:] = h[1:] != h[:-1]
+        parent = np.full(len(idx), -1, dtype=np.int32)
+        parent[h[first]] = t[first]
+        parent[s] = -1
+        parent[dist == INF] = -1
+        return ClusterTree(source, idx, dist, parent)
 
     def distances(self, members: frozenset[int], sources, targets) -> np.ndarray:
         """Distances inside G[members], one row per source and one column
         per target; raises ValueError for a vertex outside ``members``."""
-        if self.full is not None and len(members) == self.g.n:
-            return self.full[np.ix_(sources, targets)]
         idx, block = self._block(members)
         return block[np.ix_(_positions(idx, sources), _positions(idx, targets))]
 
@@ -369,8 +432,6 @@ class ClusterDistances:
         """Max pairwise distance inside G[members] (inf if disconnected)."""
         if len(members) <= 1:
             return 0.0
-        if self.full is not None and len(members) == self.g.n:
-            return float(self.full.max())
         return float(self._block(members)[1].max())
 
 
@@ -487,29 +548,21 @@ def greedy_net(
     candidates: Sequence[int],
     base: Sequence[int],
     t: float,
+    dist: Optional[np.ndarray] = None,
 ) -> list[int]:
     """Extend ``base`` to a t-net greedily over ``candidates`` in id order.
 
     A candidate joins iff its graph distance to every current member exceeds t.
-    Returns the full member list (base followed by additions). A search cut
-    off at t settles every vertex within t of its source, so the distances
-    it settled are the only ones that can rule a candidate out.
+    Returns the full member list (base followed by additions). Distances are
+    rows of ``dist``, g's all-pairs matrix, computed when not given.
     """
+    d = dist if dist is not None else apsp(g)
     members = list(base)
-    dmin = [INF] * g.n
-
-    def absorb(source: int) -> None:
-        spt = dijkstra(g, source, cutoff=t)
-        for v in spt.settled:
-            if spt.dist[v] < dmin[v]:
-                dmin[v] = spt.dist[v]
-
-    for b in members:
-        absorb(b)
+    dmin = d[members].min(axis=0) if members else np.full(g.n, INF)
     for c in sorted(candidates):
         if gt(dmin[c], t):
             members.append(c)
-            absorb(c)
+            np.minimum(dmin, d[c], out=dmin)
     return members
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -95,6 +96,51 @@ class PairRecord:
     d_in_cluster: float
 
 
+@dataclass(eq=False)
+class PairRecords(SequenceABC):
+    """The demanded pairs' records as numpy columns, one per ``PairRecord``
+    field, in (u, v) order. Reading an entry makes its ``PairRecord``; a
+    slice is a list of them."""
+
+    u: np.ndarray
+    v: np.ndarray
+    hierarchy: np.ndarray
+    copy: np.ndarray
+    level: np.ndarray
+    cluster: np.ndarray
+    sub1: np.ndarray
+    sub2: np.ndarray
+    rho_eff: np.ndarray
+    d_in_cluster: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "PairRecords":
+        return cls(*[np.empty(0, dtype=np.int64)] * 8, np.empty(0), np.empty(0))
+
+    def _columns(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __len__(self) -> int:
+        return len(self.u)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        return PairRecord(*(c[k].item() for c in self._columns()))
+
+    def __iter__(self):
+        # a block of rows at a time, so that no column is held as a list
+        cols = self._columns()
+        for lo in range(0, len(self), 4096):
+            for row in zip(*(c[lo : lo + 4096].tolist() for c in cols)):
+                yield PairRecord(*row)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SequenceABC):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass
 class HierarchyCopy:
     """A hierarchy copy: shares the base partition, owns pair assignments.
@@ -123,7 +169,7 @@ class HPFamily:
     epsilon: Optional[float] = None
     ell: Optional[int] = None
     copies: list[HierarchyCopy] = field(default_factory=list)
-    pair_records: list[PairRecord] = field(default_factory=list)
+    pair_records: PairRecords = field(default_factory=PairRecords.empty)
     unresolved_pairs: list[tuple[int, int]] = field(default_factory=list)
     diameter_violations: list[tuple[int, int]] = field(default_factory=list)
 
@@ -143,17 +189,21 @@ def offset_ell(mu: float, epsilon: float) -> int:
     return max(1, math.ceil(math.log(1.0 / epsilon) / math.log(mu) - 1e-12))
 
 
-def build_net_hierarchy(g: WeightedGraph, mu: float, eta: float) -> NetHierarchy:
-    """Greedy nets N_0 = V, N_i a (mu^i / 6 eta)-net of N_{i-1}, up to one point."""
+def build_net_hierarchy(
+    g: WeightedGraph, mu: float, eta: float, dist: Optional[np.ndarray] = None
+) -> NetHierarchy:
+    """Greedy nets N_0 = V, N_i a (mu^i / 6 eta)-net of N_{i-1}, up to one
+    point, over ``dist`` (g's all-pairs matrix, computed when not given)."""
     if mu < 2 or eta < 1:
         raise ValueError("need mu >= 2 and eta >= 1")
+    d = dist if dist is not None else apsp(g)
     levels = [sorted(range(g.n))]
     delta = [0.0]
     i = 0
     while len(levels[-1]) > 1:
         i += 1
         t = mu**i / (6.0 * eta)
-        levels.append(greedy_net(g, levels[-1], [], t))
+        levels.append(greedy_net(g, levels[-1], [], t, d))
         delta.append(t)
     return NetHierarchy(levels, delta, mu, eta)
 
@@ -202,7 +252,7 @@ def build_subnet_family(
         subnets[j][0] = sorted(range(g.n))
         for i in range(1, L + 1):
             subnets[j][i] = sorted(
-                greedy_net(g, subnets[j][i - 1], sorted(tilde[j][i]), mu**i / 3.0)
+                greedy_net(g, subnets[j][i - 1], sorted(tilde[j][i]), mu**i / 3.0, d)
             )
     return SubnetFamily(sigma, subnets, mu)
 
@@ -325,14 +375,14 @@ def build_hpf(
     """
     if dists is None:
         dists = ClusterDistances(g, apsp(g))
-    d = dists.full
-    nets = build_net_hierarchy(g, mu, eta)
+    d = dists.full if dists.full is not None else apsp(g)
+    nets = build_net_hierarchy(g, mu, eta, dist=d)
     subnets = build_subnet_family(g, nets, mu, dist=d)
     hierarchies = []
     diam_violations: list[tuple[int, int]] = []
     for j in range(subnets.sigma):
         hierarchies.append(
-            _build_hierarchy(g, mu, subnets.subnets[j], j, diam_violations, dists)
+            _build_hierarchy(g, mu, subnets.subnets[j], j, diam_violations, dists, d)
         )
     return HPFamily(
         g,
@@ -354,6 +404,7 @@ def _build_hierarchy(
     j: int,
     diam_violations: list[tuple[int, int]],
     dists: ClusterDistances,
+    dist: np.ndarray,
 ) -> Hierarchy:
     clusters: dict[int, Cluster] = {}
     next_id = 0
@@ -375,7 +426,7 @@ def _build_hierarchy(
             # net hierarchy exhausted before the partition reached one
             # cluster: keep coarsening with fresh mu^i/3-nets of the
             # previous portals
-            portals = greedy_net(g, portals, [], mu**i / 3.0)
+            portals = greedy_net(g, portals, [], mu**i / 3.0, dist)
         prev_ids = level_ids[i - 1]
         prev = [clusters[c].members for c in prev_ids]
         diams = [clusters[c].diameter for c in prev_ids]
@@ -462,8 +513,7 @@ def make_pair_preserving(
     demands: list[dict[tuple[int, int], dict[tuple[int, int, float], int]]] = [
         {} for _ in hpf.hierarchies
     ]
-    # (u, v, hierarchy, node, subcluster pair, copy slot, in-cluster distance)
-    records: list[tuple[int, int, int, tuple[int, int], tuple[int, int, float], int, float]] = []
+    records = PairRecords.empty()
     unresolved: list[tuple[int, int]] = []
 
     if demanded_pairs == "exhaustive":
@@ -489,68 +539,10 @@ def make_pair_preserving(
                     if entry:
                         demands[j][(i, cid)] = {p: t for t, p in enumerate(entry)}
     else:
-        sep_cache: dict[tuple[int, int, int], float] = {}
-
-        def separation(j: int, c1: int, c2: int, h: Hierarchy) -> float:
-            key = (j, min(c1, c2), max(c1, c2))
-            if key not in sep_cache:
-                sep_cache[key] = set_separation(
-                    d, h.clusters[c1].members, h.clusters[c2].members
-                )
-            return sep_cache[key]
-
-        # first (level, hierarchy) in scan order that holds each pair, keeps
-        # its distance and splits it; levels are tested for all pairs at once
-        pairs = sorted({(min(p), max(p)) for p in demanded_pairs if p[0] != p[1]})
-        us = np.asarray([u for u, _ in pairs], dtype=np.int64)
-        vs = np.asarray([v for _, v in pairs], dtype=np.int64)
-        hits: list[Optional[tuple]] = [None] * len(pairs)
-        open_pairs = np.ones(len(pairs), dtype=bool)
-        vmaps = [[np.asarray(vm) for vm in h.vmap] for h in hpf.hierarchies]
-        top = max(h.i_max for h in hpf.hierarchies) + ell - 1
-        for i in range(1, top + 1):
-            isub = max(i - ell, 0)
-            for j, h in enumerate(hpf.hierarchies):
-                at_i = vmaps[j][min(i, h.i_max)]
-                at_sub = vmaps[j][min(isub, h.i_max)]
-                cand = (
-                    open_pairs
-                    & (at_i[us] == at_i[vs])
-                    & (at_sub[us] != at_sub[vs])
-                )
-                ks = np.flatnonzero(cand)
-                if not len(ks):
-                    continue
-                # in-cluster distances, one sub-block per cluster
-                cids = at_i[us[ks]]
-                order = np.argsort(cids, kind="stable")
-                din = np.empty(len(ks))
-                for grp in np.split(order, np.flatnonzero(np.diff(cids[order])) + 1):
-                    su, iu = np.unique(us[ks[grp]], return_inverse=True)
-                    sv, iv = np.unique(vs[ks[grp]], return_inverse=True)
-                    members = h.clusters[int(cids[grp[0]])].members
-                    din[grp] = dists.distances(members, su, sv)[iu, iv]
-                keep = np.abs(din - d[us[ks], vs[ks]]) <= TOL
-                for k, dk in zip(ks[keep], din[keep]):
-                    u, v = pairs[k]
-                    c1, c2 = int(at_sub[u]), int(at_sub[v])
-                    sep = separation(j, c1, c2, h)
-                    hits[k] = (j, i, int(at_i[u]), c1, c2, hpf.mu**i / sep, float(dk))
-                    open_pairs[k] = False
-
-        for (u, v), hit in zip(pairs, hits):
-            if hit is None:
-                unresolved.append((u, v))
-                continue
-            j, i, cid, c1, c2, rho_eff, din = hit
-            a, b = (c1, c2) if c1 < c2 else (c2, c1)
-            slots = demands[j].setdefault((i, cid), {})
-            pair = (a, b, rho_eff)
-            t = slots.setdefault(pair, len(slots))
-            records.append((u, v, j, (i, cid), pair, t, din))
+        records, unresolved = _assign_pairs(hpf, ell, demanded_pairs, dists, demands)
 
     copies: list[HierarchyCopy] = []
-    copy_of: dict[tuple[int, int], int] = {}  # (hierarchy, t) -> global copy index
+    first_copy: list[int] = []  # per hierarchy, the global index of its copy 0
     for j, h in enumerate(hpf.hierarchies):
         # copy t takes the pair in slot t of every node that has one
         per_copy: list[dict] = [{}]
@@ -559,26 +551,117 @@ def make_pair_preserving(
                 if t == len(per_copy):
                     per_copy.append({})
                 per_copy[t][node] = pair
+        first_copy.append(len(copies))
         for t, pairs in enumerate(per_copy):
-            copy_of[(j, t)] = len(copies)
             copies.append(HierarchyCopy(j, h, t, pairs))
-
-    pair_records = []
-    for u, v, j, node, pair, t, din in records:
-        pair_records.append(
-            PairRecord(
-                u, v, j, copy_of[(j, t)], node[0], node[1], pair[0], pair[1], pair[2], din
-            )
-        )
+    # the records come back holding copy slots; make them copy indices
+    records = replace(
+        records, copy=np.asarray(first_copy, dtype=np.int64)[records.hierarchy] + records.copy
+    )
 
     return replace(
         hpf,
         epsilon=epsilon,
         ell=ell,
         copies=copies,
-        pair_records=pair_records,
+        pair_records=records,
         unresolved_pairs=unresolved,
     )
+
+
+def _assign_pairs(
+    hpf: HPFamily,
+    ell: int,
+    demanded_pairs: Iterable[tuple[int, int]],
+    dists: ClusterDistances,
+    demands: list[dict],
+) -> tuple[PairRecords, list[tuple[int, int]]]:
+    """Demand mode of ``make_pair_preserving``: match each demanded pair to
+    the first (level, hierarchy) in scan order that holds it, keeps its
+    distance and splits it, and fill ``demands`` with the matched
+    subcluster pairs. Returns the records, whose ``copy`` column holds the
+    copy slot within the hierarchy, and the unmatched pairs."""
+    d = hpf.dist
+    n = hpf.graph.n
+    ends = np.fromiter(
+        itertools.chain.from_iterable(demanded_pairs), dtype=np.int64
+    ).reshape(-1, 2)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    codes = np.unique(lo[lo != hi] * n + hi[lo != hi])
+    us, vs = codes // n, codes % n
+    # the match of each pair as columns; hit_j is -1 while a pair is open
+    hit_j = np.full(len(us), -1, dtype=np.int64)
+    hit_i, hit_cid, hit_a, hit_b = (np.zeros(len(us), dtype=np.int64) for _ in range(4))
+    hit_rho, hit_din = np.zeros(len(us)), np.zeros(len(us))
+    # (hierarchy, subcluster, subcluster) -> separation, measured with the
+    # subclusters in the order of the pair that first met them
+    sep_cache: dict[tuple[int, int, int], float] = {}
+    vmaps = [[np.asarray(vm) for vm in h.vmap] for h in hpf.hierarchies]
+    top = max(h.i_max for h in hpf.hierarchies) + ell - 1
+    for i in range(1, top + 1):
+        isub = max(i - ell, 0)
+        for j, h in enumerate(hpf.hierarchies):
+            at_i = vmaps[j][min(i, h.i_max)]
+            at_sub = vmaps[j][min(isub, h.i_max)]
+            cand = (hit_j < 0) & (at_i[us] == at_i[vs]) & (at_sub[us] != at_sub[vs])
+            ks = np.flatnonzero(cand)
+            if not len(ks):
+                continue
+            # in-cluster distances, one sub-block per cluster
+            cids = at_i[us[ks]]
+            order = np.argsort(cids, kind="stable")
+            din = np.empty(len(ks))
+            for grp in np.split(order, np.flatnonzero(np.diff(cids[order])) + 1):
+                su, iu = np.unique(us[ks[grp]], return_inverse=True)
+                sv, iv = np.unique(vs[ks[grp]], return_inverse=True)
+                members = h.clusters[int(cids[grp[0]])].members
+                din[grp] = dists.distances(members, su, sv)[iu, iv]
+            keep = np.abs(din - d[us[ks], vs[ks]]) <= TOL
+            ks = ks[keep]
+            if not len(ks):
+                continue
+            c1, c2 = at_sub[us[ks]], at_sub[vs[ks]]
+            a, b = np.minimum(c1, c2), np.maximum(c1, c2)
+            _, first, inv = np.unique(
+                a * len(h.clusters) + b, return_index=True, return_inverse=True
+            )
+            seps = np.empty(len(first))
+            for t, f in enumerate(first.tolist()):
+                key = (j, int(a[f]), int(b[f]))
+                sep = sep_cache.get(key)
+                if sep is None:
+                    sep = sep_cache[key] = set_separation(
+                        d, h.clusters[int(c1[f])].members, h.clusters[int(c2[f])].members
+                    )
+                seps[t] = sep
+            hit_j[ks], hit_i[ks], hit_cid[ks] = j, i, at_i[us[ks]]
+            hit_a[ks], hit_b[ks] = a, b
+            hit_rho[ks] = hpf.mu**i / seps[inv]
+            hit_din[ks] = din[keep]
+
+    open_pairs = hit_j < 0
+    unresolved = list(zip(us[open_pairs].tolist(), vs[open_pairs].tolist()))
+    rk = np.flatnonzero(~open_pairs)
+    # one group per (node, subcluster pair), keyed by (hierarchy, level,
+    # subcluster pair), which fixes the node too; each group takes the next
+    # free slot of its node, in order of first demand
+    width = max(len(h.clusters) for h in hpf.hierarchies)
+    key = ((hit_j[rk] * (top + 1) + hit_i[rk]) * width + hit_a[rk]) * width + hit_b[rk]
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    by_demand = np.argsort(first)
+    head = rk[first[by_demand]]
+    group_slot = np.empty(len(first), dtype=np.int64)
+    for g, j, i, cid, a, b, rho in zip(
+        by_demand.tolist(),
+        *(col[head].tolist() for col in (hit_j, hit_i, hit_cid, hit_a, hit_b, hit_rho)),
+    ):
+        slots = demands[j].setdefault((i, cid), {})
+        group_slot[g] = slots.setdefault((a, b, rho), len(slots))
+    records = PairRecords(
+        us[rk], vs[rk], hit_j[rk], group_slot[inv], hit_i[rk],
+        hit_cid[rk], hit_a[rk], hit_b[rk], hit_rho[rk], hit_din[rk],
+    )
+    return records, unresolved
 
 
 def subnet_cover_radius(hpf: HPFamily) -> float:

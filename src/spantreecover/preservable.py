@@ -72,6 +72,21 @@ class PreservableError(AssertionError):
     pass
 
 
+def path_to_pi(
+    dists: ClusterDistances, chat: frozenset[int], pi: list[int], source: int
+) -> list[int]:
+    """Shortest path inside G[chat] union pi from ``source`` (in chat) to the
+    nearest vertex of pi (ties: smaller id), as ``dijkstra`` with
+    ``restrict=chat, paths=[pi], stop=pi`` finds it. That search stops at
+    the first pi vertex it settles, so it never walks a pi edge, and the
+    vertex lies in chat: the path climbs G[chat]'s shortest-path tree."""
+    tree = dists.tree(chat, source)
+    reached = tree.nearest(chat.intersection(pi))
+    if reached is None:
+        raise ValueError("highway unreachable from the cluster")
+    return tree.path_to(reached)
+
+
 def build_preservable_set(
     g: WeightedGraph,
     hier: Hierarchy,
@@ -91,7 +106,8 @@ def build_preservable_set(
     ``cache`` memoizes shortest paths that depend only on the hierarchy
     and the highway (pair paths, glue descents, searches towards pi), which
     repeat across hierarchy copies. ``dists`` shares the in-cluster
-    shortest-path trees with the other hierarchies of the construction.
+    distance blocks, which the paths are read off, with the other
+    hierarchies of the construction.
     """
     if cache is None:
         cache = {}
@@ -131,16 +147,11 @@ def build_preservable_set(
     c_pi = {cof[v] for v in pi if v in cof}
     pi_key = tuple(pi)
 
-    def path_to_pi(source: int) -> list[int]:
-        """Shortest path inside G[C] union pi from source to the nearest
-        vertex of pi (ties: smaller id)."""
+    def to_pi(source: int) -> list[int]:
         key = ("to-pi", cluster_id, pi_key, source)
         seq = cache.get(key)
         if seq is None:
-            spt = dijkstra(g, source, restrict=chat, paths=[pi], stop=pi_verts)
-            if spt.reached is None:
-                raise ValueError("highway unreachable from the cluster")
-            seq = cache[key] = spt.path_to(spt.reached)
+            seq = cache[key] = path_to_pi(dists, chat, pi, source)
         return seq
 
     if pair is not None:
@@ -154,7 +165,7 @@ def build_preservable_set(
             pxy = cache[pkey] = dists.tree(chat, x).path_to(y)
         c_pxy = {cof[v] for v in pxy}
         if c_pxy.isdisjoint(c_pi):
-            pprime = path_to_pi(x)
+            pprime = to_pi(x)
             j2 = next(
                 t
                 for t, v in enumerate(pprime)
@@ -199,7 +210,7 @@ def build_preservable_set(
 
     # first iteration: the cluster's own representative reaches pi
     r0 = hier.clusters[cluster_id].representative
-    glue(path_to_pi(r0), r0)
+    glue(to_pi(r0), r0)
 
     for j in range(level - 1, isub - 1, -1):
         sub_ids = sorted(set(member_clusters(hier, cluster_id, j, cache).values()))

@@ -276,3 +276,22 @@ def test_verify_rejects_cover_flags(tmp_path, grid4_file, capsys):
     rc = main(["verify", "--graph", grid4_file, "--cover", str(cov), "--mu", "1"])
     assert rc == 2
     assert "unrecognized arguments: --mu 1" in capsys.readouterr().err
+
+
+def test_oracle_tree_root_not_an_integer(tmp_path, capsys, grid4_file):
+    rc = _oracle_on_broken_tree(tmp_path, grid4_file, lambda t: t.update(root=0.5))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error: cover tree 1: root 0.5 is not an integer vertex id" in err
+    assert "Traceback" not in err
+
+
+def test_oracle_tree_edge_not_integers(tmp_path, capsys, grid4_file):
+    def edit(tree):
+        tree["edges"][0] = [0.0, 1.0]
+
+    rc = _oracle_on_broken_tree(tmp_path, grid4_file, edit)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error: cover tree 1: edge [0.0, 1.0] is not a pair of integer vertex ids" in err
+    assert "Traceback" not in err

@@ -9,6 +9,7 @@ from conftest import flat_hierarchy, unit_path
 from spantreecover.cover import (
     CoverConfig,
     SpanningTree,
+    TreeCover,
     cover_stats,
     cover_stretch,
     default_demand_pairs,
@@ -20,7 +21,14 @@ from spantreecover.cover import (
     span_tree_cover,
     verify_spanning,
 )
-from spantreecover.graphs import WeightedGraph, apsp, generate, greedy_spanner, mst_weight
+from spantreecover.graphs import (
+    WeightedGraph,
+    _DSU,
+    apsp,
+    generate,
+    greedy_spanner,
+    mst_weight,
+)
 from spantreecover.hpf import HierarchyCopy
 
 
@@ -143,6 +151,63 @@ def test_verify_spanning_rejects_cycle(grid8, grid8_cover):
     t.edges.append(extra)  # n edges now: must trip the count or cycle check
     with pytest.raises(AssertionError):
         verify_spanning(grid8, bad)
+
+
+def _verify_spanning_loop(g, cover):
+    """Reference: every tree checked edge by edge, in order."""
+    for idx, t in enumerate(cover.trees):
+        for u, v in t.edges:
+            assert g.has_edge(u, v), f"tree {idx}: edge ({u},{v}) not in graph"
+        assert len(t.edges) == g.n - 1, (
+            f"tree {idx}: {len(t.edges)} edges, expected {g.n - 1}"
+        )
+        dsu = _DSU(g.n)
+        for u, v in t.edges:
+            assert dsu.union(u, v), f"tree {idx}: cycle at edge ({u},{v})"
+
+
+def _foreign_edge(g, edges):
+    edges[5] = (0, 63)
+
+
+def _edge_dropped(g, edges):
+    del edges[7]
+
+
+def _cycle_closed(g, edges):
+    # swap a tree edge for a graph edge that closes a cycle, keeping the
+    # count at n - 1: the tree no longer spans
+    tree = set(edges)
+    for u, v, _ in g.edges:
+        if (u, v) in tree:
+            continue
+        for k in range(len(edges)):
+            trial = edges[:k] + edges[k + 1 :] + [(u, v)]
+            probe = TreeCover([SpanningTree(trial, 0, (0, 0))], {}, 1.0)
+            try:
+                _verify_spanning_loop(g, probe)
+            except AssertionError as err:
+                if "cycle" in str(err):
+                    edges[:] = trial
+                    return
+    raise AssertionError("no cycle found")
+
+
+@pytest.mark.parametrize("corrupt", [_foreign_edge, _edge_dropped, _cycle_closed])
+@pytest.mark.parametrize("bad_trees", [(0,), (70, 100)], ids=["first", "later-chunk"])
+def test_verify_spanning_messages_match_loop(grid8, grid8_cover, corrupt, bad_trees):
+    trees = [SpanningTree(list(t.edges), t.root, t.provenance) for t in grid8_cover.trees]
+    for j in bad_trees:
+        corrupt(grid8, trees[j].edges)
+    bad = TreeCover(trees, {}, 1.0)
+    with pytest.raises(AssertionError) as want:
+        _verify_spanning_loop(grid8, bad)
+    # pytest appends its own explanation to an assert in a test module
+    message = str(want.value).splitlines()[0]
+    assert message.startswith(f"tree {bad_trees[0]}: ")
+    with pytest.raises(AssertionError) as got:
+        verify_spanning(grid8, bad)
+    assert str(got.value) == message
 
 
 def test_light_cover_uniform_line():

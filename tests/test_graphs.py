@@ -215,6 +215,51 @@ def test_csgraph_distances_equal_dijkstra_bitwise(kind, params, seed):
         assert dists.diameter(members) == block.max()
 
 
+PATH_INSTANCES = [
+    ("grid", {"k": 16}, 0),
+    ("random_geometric", {"n": 256}, 1),
+    ("random_geometric", {"n": 512}, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,params,seed", PATH_INSTANCES, ids=["grid16", "rg256s1", "rg512s1"]
+)
+def test_block_paths_equal_dijkstra_paths(kind, params, seed, monkeypatch):
+    # the build reads its paths off the csgraph blocks: every tree path and
+    # every search towards pi that a checks-off build makes must be the
+    # path of dijkstra's tie rule
+    from spantreecover import preservable
+    from spantreecover.cover import CoverConfig, span_tree_cover
+
+    tree_paths: dict[tuple[frozenset, int], dict[int, list]] = {}
+    pi_paths: dict[tuple[frozenset, tuple, int], list] = {}
+    path_to, to_pi = graphs.ClusterTree.path_to, preservable.path_to_pi
+
+    def recorded_path_to(tree, v):
+        out = path_to(tree, v)
+        tree_paths.setdefault((frozenset(tree.idx.tolist()), tree.source), {})[v] = out
+        return out
+
+    def recorded_to_pi(dists, chat, pi, source):
+        out = pi_paths[(chat, tuple(pi), source)] = to_pi(dists, chat, pi, source)
+        return out
+
+    monkeypatch.setattr(graphs.ClusterTree, "path_to", recorded_path_to)
+    monkeypatch.setattr(preservable, "path_to_pi", recorded_to_pi)
+    g = generate(kind, params, seed=seed)
+    span_tree_cover(g, CoverConfig(check=False))
+    gs, _ = g.rescaled()
+    assert tree_paths and pi_paths
+    for (members, source), paths in tree_paths.items():
+        spt = dijkstra(gs, source, restrict=members)
+        for v, path in paths.items():
+            assert path == spt.path_to(v), (sorted(members), source, v)
+    for (chat, pi, source), path in pi_paths.items():
+        spt = dijkstra(gs, source, restrict=chat, paths=[list(pi)], stop=set(pi))
+        assert path == spt.path_to(spt.reached), (sorted(chat), pi, source)
+
+
 def test_cluster_distances_sub_block_and_outside_vertex():
     g = generate("path", {"n": 5})
     dists = graphs.ClusterDistances(g)

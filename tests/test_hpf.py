@@ -7,8 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from spantreecover.graphs import WeightedGraph, apsp, dijkstra, generate, leq
+from spantreecover.graphs import (
+    TOL,
+    ClusterDistances,
+    WeightedGraph,
+    apsp,
+    dijkstra,
+    generate,
+    leq,
+)
 from spantreecover.hpf import (
+    PairRecord,
     aggregation_distortion,
     build_hpf,
     build_net_hierarchy,
@@ -311,6 +320,135 @@ def test_pairs_assignments_well_formed():
         assert rec.d_in_cluster == pytest.approx(float(d[rec.u, rec.v]), abs=1e-9)
         cp = pp.copies[rec.copy]
         assert cp.pairs[(rec.level, rec.cluster)][:2] == (rec.sub1, rec.sub2)
+
+
+def _pair_preserving_loop(hpf, epsilon, demanded_pairs, dists):
+    """Reference: the demand mode one pair at a time, from a sorted set of
+    pair tuples, with one record tuple per pair. Returns (copies as
+    (hierarchy, slot, pairs) triples, records, unresolved pairs)."""
+    ell = offset_ell(hpf.mu, epsilon)
+    d = hpf.dist
+    demands = [{} for _ in hpf.hierarchies]
+    sep_cache = {}
+
+    def separation(j, c1, c2, h):
+        key = (j, min(c1, c2), max(c1, c2))
+        if key not in sep_cache:
+            sep_cache[key] = set_separation(d, h.clusters[c1].members, h.clusters[c2].members)
+        return sep_cache[key]
+
+    pairs = sorted({(min(p), max(p)) for p in demanded_pairs if p[0] != p[1]})
+    us = np.asarray([u for u, _ in pairs], dtype=np.int64)
+    vs = np.asarray([v for _, v in pairs], dtype=np.int64)
+    hits = [None] * len(pairs)
+    open_pairs = np.ones(len(pairs), dtype=bool)
+    vmaps = [[np.asarray(vm) for vm in h.vmap] for h in hpf.hierarchies]
+    top = max(h.i_max for h in hpf.hierarchies) + ell - 1
+    for i in range(1, top + 1):
+        isub = max(i - ell, 0)
+        for j, h in enumerate(hpf.hierarchies):
+            at_i = vmaps[j][min(i, h.i_max)]
+            at_sub = vmaps[j][min(isub, h.i_max)]
+            for k in np.flatnonzero(
+                open_pairs & (at_i[us] == at_i[vs]) & (at_sub[us] != at_sub[vs])
+            ):
+                u, v = pairs[k]
+                members = h.clusters[int(at_i[u])].members
+                din = float(dists.distances(members, [u], [v])[0, 0])
+                if abs(din - d[u, v]) > TOL:
+                    continue
+                c1, c2 = int(at_sub[u]), int(at_sub[v])
+                sep = separation(j, c1, c2, h)
+                hits[k] = (j, i, int(at_i[u]), c1, c2, hpf.mu**i / sep, din)
+                open_pairs[k] = False
+    records, unresolved = [], []
+    for (u, v), hit in zip(pairs, hits):
+        if hit is None:
+            unresolved.append((u, v))
+            continue
+        j, i, cid, c1, c2, rho_eff, din = hit
+        a, b = (c1, c2) if c1 < c2 else (c2, c1)
+        slots = demands[j].setdefault((i, cid), {})
+        pair = (a, b, rho_eff)
+        t = slots.setdefault(pair, len(slots))
+        records.append((u, v, j, (i, cid), pair, t, din))
+    copies, copy_of = [], {}
+    for j in range(len(hpf.hierarchies)):
+        per_copy = [{}]
+        for node, slots in demands[j].items():
+            for pair, t in slots.items():
+                if t == len(per_copy):
+                    per_copy.append({})
+                per_copy[t][node] = pair
+        for t, cp in enumerate(per_copy):
+            copy_of[(j, t)] = len(copies)
+            copies.append((j, t, cp))
+    recs = [
+        PairRecord(u, v, j, copy_of[(j, t)], node[0], node[1], pair[0], pair[1], pair[2], din)
+        for u, v, j, node, pair, t, din in records
+    ]
+    return copies, recs, unresolved
+
+
+def _exact(x):
+    """A value with its floats spelled out bit for bit."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (tuple, list)):
+        return type(x)(_exact(y) for y in x)
+    if isinstance(x, dict):
+        return [(_exact(k), _exact(v)) for k, v in x.items()]
+    return (type(x).__name__, x)
+
+
+@pytest.mark.parametrize(
+    "kind,params,seed",
+    [("grid", {"k": 5}, 0), ("random_geometric", {"n": 64}, 1)],
+    ids=["grid5", "rg64s1"],
+)
+def test_pair_columns_equal_loop_reference(kind, params, seed):
+    # every field of every record (floats bitwise, ints as Python ints),
+    # every copy's pairs in insertion order and the unresolved pairs;
+    # the demand lists each pair twice, once reversed, plus self-pairs
+    gs, _ = generate(kind, params, seed=seed).rescaled()
+    dists = ClusterDistances(gs, apsp(gs))
+    hpf = build_hpf(gs, 6.0, 24.0, 1.0, dists=dists)
+    pairs = [(u, v) for u in range(gs.n) for v in range(gs.n)]
+    pp = make_pair_preserving(hpf, 0.25, pairs, dists=dists)
+    copies, records, unresolved = _pair_preserving_loop(hpf, 0.25, pairs, dists)
+    assert len(pp.pair_records) + len(unresolved) == gs.n * (gs.n - 1) // 2
+    assert [_exact(r.__dict__) for r in pp.pair_records] == [_exact(r.__dict__) for r in records]
+    assert pp.pair_records == records
+    assert [pp.pair_records[k] for k in range(-3, 3)] == records[-3:] + records[:3]
+    assert pp.pair_records[5:40:7] == records[5:40:7]
+    assert [(c.base_index, c.copy_index, _exact(c.pairs)) for c in pp.copies] == [
+        (j, t, _exact(cp)) for j, t, cp in copies
+    ]
+    assert pp.unresolved_pairs == unresolved
+
+
+def test_checks_off_build_runs_no_heap_search(monkeypatch):
+    # distances and paths of a checks-off build all come from csgraph
+    import sys
+
+    from spantreecover import graphs
+    from spantreecover.cover import CoverConfig, span_tree_cover
+
+    calls = []
+    original = graphs.dijkstra
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spantreecover") and getattr(module, "dijkstra", None) is original:
+            monkeypatch.setattr(module, "dijkstra", counted)
+    cover = span_tree_cover(generate("grid", {"k": 8}), CoverConfig(check=False))
+    assert len(cover.trees) == 116
+    assert calls == []
+    span_tree_cover(generate("grid", {"k": 4}), CoverConfig())
+    assert calls, "the checks' searches go through the patched dijkstra"
 
 
 def test_pairs_exhaustive_mode_small():
