@@ -130,18 +130,16 @@ def path_preserving_tree(
     diagnostics: Optional[dict] = None,
     memo: Optional[dict] = None,
     dists: Optional[ClusterDistances] = None,
-    path_cache: Optional[dict] = None,
 ) -> tuple[set[tuple[int, int]], set[int]]:
     """Spanning tree of G[cluster] union pi, as (edge set, vertex set).
 
-    ``memo``, ``path_cache`` and ``dists`` are those of ``_Recursion``;
-    pass the same ones to several calls to share their work.
+    ``memo`` and ``dists`` are those of ``_Recursion``; pass the same ones
+    to several calls to share their work.
     """
     rec = _Recursion(
         g, ell, mu, epsilon, check, theory_mode, diagnostics,
         {} if memo is None else memo,
         ClusterDistances(g) if dists is None else dists,
-        {} if path_cache is None else path_cache,
     )
     codes = rec.tree(copy, _pairs_by_ancestor(copy), cluster_id, level, pi)
     edges = {divmod(c, g.n) for c in codes.tolist()}
@@ -169,11 +167,11 @@ class _Recursion:
     ``memo`` keeps them across hierarchy copies: two copies that agree on
     the incoming highway and on every pair assigned inside the subtree
     produce identical trees, which is the common case away from the one
-    cluster whose pair distinguishes the copies. ``path_cache`` holds, per
-    base hierarchy, what the path systems, their sketches and their checks
-    repeat: member-to-subcluster maps, pair paths, glue descents, searches
-    towards pi, nearest anchors and path detours (see ``preservable``).
-    ``dists`` holds the in-cluster distances and shortest-path trees.
+    cluster whose pair distinguishes the copies. ``dists`` runs and
+    memoizes, by member set, every search inside a cluster that the path
+    systems, their sketches and their checks make: distances, shortest-path
+    trees, pair paths, glue descents, searches towards pi, nearest anchors
+    and path detours.
     """
 
     g: WeightedGraph
@@ -185,7 +183,6 @@ class _Recursion:
     diagnostics: Optional[dict]
     memo: dict
     dists: ClusterDistances
-    path_cache: dict
 
     def path_codes(self, paths: Iterable[Sequence[int]]) -> list[int]:
         """Codes of the paths' edges; an edge (a, b) is a path too."""
@@ -213,20 +210,19 @@ class _Recursion:
         pair_entry = copy.pairs.get((level, cluster_id))
         pair = pair_entry[:2] if pair_entry else None
         mu_i = self.mu**level
-        cache = self.path_cache.setdefault(copy.base_index, {})
+        dists = self.dists
         pset = build_preservable_set(
-            g, hier, cluster_id, level, ell, pi, pair, mu_i, epsilon,
-            cache=cache, dists=self.dists,
+            g, hier, cluster_id, level, ell, pi, pair, mu_i, epsilon, dists=dists
         )
         if self.check:
-            verify_preservable_set(g, pset, hier, cluster_id, level, ell, cache=cache)
+            verify_preservable_set(g, pset, hier, cluster_id, level, ell, dists=dists)
             sketch = build_sketch_graph(
-                g, pset, hier, cluster_id, level, ell, mu_i, epsilon, cache=cache
+                g, pset, hier, cluster_id, level, ell, mu_i, epsilon, dists=dists
             )
             report = verify_preservable_lemma(
                 g, pset=pset, sketch=sketch, hier=hier, cluster_id=cluster_id,
                 level=level, ell=ell, pair=pair, mu_i=mu_i, epsilon=epsilon,
-                theory_mode=self.theory_mode, dists=self.dists, cache=cache,
+                theory_mode=self.theory_mode, dists=dists,
             )
             diagnostics = self.diagnostics
             if diagnostics is not None:
@@ -241,7 +237,7 @@ class _Recursion:
         parts = []
         single_paths: set[int] = set()
         isub = max(level - ell, 0)
-        for cid in sorted(set(member_clusters(hier, cluster_id, isub, cache).values())):
+        for cid in sorted(set(member_clusters(hier, cluster_id, isub).values())):
             touch = pset.touch[cid]
             if len(hier.clusters[cid].members) == 1:
                 single_paths.add(touch)
@@ -281,7 +277,7 @@ def span_tree_cover(g: WeightedGraph, config: CoverConfig) -> TreeCover:
     diagnostics: dict = {}
     rec = _Recursion(
         gs, pp.ell, pp.mu, pp.epsilon, config.check, config.mode == "theory",
-        diagnostics, {}, dists, {},
+        diagnostics, {}, dists,
     )
     # one (u, v) tuple per graph edge, shared by every tree's edge list; a
     # code that is no edge of g gets its own, for verify_spanning to report

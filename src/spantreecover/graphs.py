@@ -13,11 +13,17 @@ float comparisons. Two shortest-path kernels serve the package:
   in-cluster neighbour that lies on a shortest path to it, which is the
   parent ``dijkstra``'s tie rule picks, and climbs those parents.
 - ``dijkstra``, a heap search in Python, answers the searches that leave the
-  induced subgraph: the checks' spans and nearest anchors, which also walk
+  induced subgraph: the checks' detours and nearest anchors, which also walk
   path edges outside the cluster, and the greedy spanner's cut-off search.
   It settles vertices in (distance, vertex id) order, and of two
   equal-length parents (within tolerance) the one with the smaller vertex id
   wins, so its paths do not depend on heap order.
+
+``ClusterDistances`` is the one place that runs and memoizes the searches
+inside a cluster, keyed by its member set: the path systems' pair paths,
+glue descents and searches towards pi, and the checks' detours and nearest
+anchors over G[members] union a path. The sigma hierarchies rebuild the same
+clusters, so these repeat across hierarchies and their copies.
 
 csgraph takes the exact float minimum over paths, which is the sum
 ``dijkstra`` keeps on the graphs built here, so the choice of kernel cannot
@@ -27,8 +33,8 @@ change any output.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Optional, Sequence
 
@@ -38,7 +44,6 @@ from scipy.sparse import csgraph, csr_matrix
 TOL = 1e-9
 
 DEFAULT_APSP_CAP = 2000
-APSP_CAP_ENV = "TREECOVER_APSP_CAP"
 
 INF = math.inf
 
@@ -51,10 +56,6 @@ def gt(a: float, b: float) -> bool:
 def leq(a: float, b: float) -> bool:
     """Less-or-equal under the global tolerance."""
     return a <= b + TOL
-
-
-def close(a: float, b: float) -> bool:
-    return abs(a - b) <= TOL
 
 
 class GraphFormatError(ValueError):
@@ -107,7 +108,8 @@ class WeightedGraph:
     def edge_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``edges`` as (u, v, w) numpy columns, built on first use."""
         if self._columns is None:
-            e = np.asarray(self.edges, dtype=np.float64).reshape(-1, 3)
+            flat = itertools.chain.from_iterable(self.edges)
+            e = np.fromiter(flat, dtype=np.float64, count=3 * self.m).reshape(-1, 3)
             self._columns = (e[:, 0].astype(np.int64), e[:, 1].astype(np.int64), e[:, 2])
         return self._columns
 
@@ -158,18 +160,7 @@ def validate_graph(n: int, edges: list[tuple[int, int, float]]) -> WeightedGraph
 def _connected(g: WeightedGraph) -> bool:
     if g.n == 0:
         return True
-    seen = [False] * g.n
-    stack = [0]
-    seen[0] = True
-    cnt = 1
-    while stack:
-        u = stack.pop()
-        for v, _, _ in g.adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                cnt += 1
-                stack.append(v)
-    return cnt == g.n
+    return csgraph.connected_components(graph_csr(g), directed=False)[0] == 1
 
 
 def load_graph(path: str) -> WeightedGraph:
@@ -364,16 +355,18 @@ class ClusterTree:
 
 
 class ClusterDistances:
-    """Distances and shortest-path trees inside induced subgraphs
-    G[members].
+    """Distances, shortest-path trees and paths inside induced subgraphs
+    G[members], and the checks' searches over G[members] union a path.
 
     One instance serves one construction: the sigma hierarchies rebuild the
-    same clusters, and strong diameters, pair assignment, the path systems
-    and the pair-bound check all search the same clusters from the same
-    sources. Distances come from one csgraph call per distinct member set:
-    the |C| x |C| block of G[C], rows and columns in sorted member order.
-    ``full`` (the all-pairs matrix of g, optional) is the block of the
-    clusters that span the whole graph. Trees are read off the blocks.
+    same clusters, and strong diameters, pair assignment, the path systems,
+    their checks and the pair-bound check all search the same clusters from
+    the same sources. Every answer is memoized by the frozen member set, so
+    no hierarchy or copy repeats a search another has made. Distances come
+    from one csgraph call per distinct member set: the |C| x |C| block of
+    G[C], rows and columns in sorted member order. ``full`` (the all-pairs
+    matrix of g, optional) is the block of the clusters that span the whole
+    graph. Trees are read off the blocks.
     """
 
     def __init__(self, g: WeightedGraph, full: Optional[np.ndarray] = None) -> None:
@@ -382,6 +375,10 @@ class ClusterDistances:
         self.csr = graph_csr(g)
         self._blocks: dict[frozenset[int], tuple[np.ndarray, np.ndarray]] = {}
         self._arcs: dict[frozenset[int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._trees: dict[tuple[frozenset[int], int], ClusterTree] = {}
+        self._paths: dict[tuple, list[int]] = {}
+        self._detours: dict[tuple, float] = {}
+        self._anchors: dict[tuple, dict[int, tuple[float, int]]] = {}
 
     def _block(self, members: frozenset[int]) -> tuple[np.ndarray, np.ndarray]:
         """(sorted members, all-pairs distances of G[members])."""
@@ -398,7 +395,11 @@ class ClusterDistances:
     def tree(self, members: frozenset[int], source: int) -> ClusterTree:
         """The tree of ``dijkstra(g, source, restrict=members)``: the parent
         of v is its smallest-id neighbour u in ``members`` with
-        d(u) + w(u, v) <= d(v) + TOL, distances from the block."""
+        d(u) + w(u, v) <= d(v) + TOL, distances from the block. Derived once
+        per (members, source)."""
+        hit = self._trees.get((members, source))
+        if hit is not None:
+            return hit
         idx, block = self._block(members)
         arcs = self._arcs.get(members)
         if arcs is None:
@@ -420,7 +421,61 @@ class ClusterDistances:
         parent[h[first]] = t[first]
         parent[s] = -1
         parent[dist == INF] = -1
-        return ClusterTree(source, idx, dist, parent)
+        tree = self._trees[(members, source)] = ClusterTree(source, idx, dist, parent)
+        return tree
+
+    def path(self, members: frozenset[int], source: int, target) -> list[int]:
+        """Shortest path inside G[members] from ``source`` to ``target``, as
+        ``dijkstra(g, source, restrict=members)`` finds it; memoized.
+
+        A tuple ``target`` lists candidate ends: the path ends at its member
+        with the smallest (distance, id), the one a search that stops at the
+        tuple settles first. A search over G[members] union a path that
+        stops at that path's vertices ends there too, having walked no path
+        edge. Raises ValueError when no end is reached.
+        """
+        key = (members, source, target)
+        hit = self._paths.get(key)
+        if hit is None:
+            tree = self.tree(members, source)
+            end = target
+            if isinstance(target, tuple):
+                end = tree.nearest(members.intersection(target))
+            if end is None:
+                raise ValueError(f"no target reachable from {source} inside the cluster")
+            hit = self._paths[key] = tree.path_to(end)
+        return hit
+
+    def detour(self, members: frozenset[int], path: Sequence[int]) -> float:
+        """Length of the shortest path from path[0] to path[-1] inside
+        G[members] union ``path``; memoized."""
+        key = (members, tuple(path))
+        hit = self._detours.get(key)
+        if hit is None:
+            end = path[-1]
+            hit = self._detours[key] = dijkstra(
+                self.g, path[0], restrict=members, paths=[path], stop={end}
+            ).dist[end]
+        return hit
+
+    def anchors(
+        self, members: frozenset[int], path: Sequence[int]
+    ) -> dict[int, tuple[float, int]]:
+        """(distance, anchor) of the nearest vertex of ``path`` inside
+        ``members`` (ties: smaller id) for every other member, measured in
+        G[members] union ``path``; memoized."""
+        key = (members, tuple(path))
+        best = self._anchors.get(key)
+        if best is None:
+            best = self._anchors[key] = {}
+            on = set(path)
+            off = members - on
+            for a in sorted(on & members):
+                dist = dijkstra(self.g, a, restrict=members, paths=[path]).dist
+                for v in off:
+                    if dist[v] < INF and (v not in best or (dist[v], a) < best[v]):
+                        best[v] = (dist[v], a)
+        return best
 
     def distances(self, members: frozenset[int], sources, targets) -> np.ndarray:
         """Distances inside G[members], one row per source and one column
@@ -445,10 +500,10 @@ def shortest_path(
 def apsp(g: WeightedGraph, cap: Optional[int] = None) -> np.ndarray:
     """All-pairs distance matrix, one csgraph call over g's CSR.
 
-    Refuses graphs above the cap (env ``TREECOVER_APSP_CAP``, default 2000).
+    Refuses graphs above ``cap`` (default ``DEFAULT_APSP_CAP``).
     """
     if cap is None:
-        cap = int(os.environ.get(APSP_CAP_ENV, DEFAULT_APSP_CAP))
+        cap = DEFAULT_APSP_CAP
     if g.n > cap:
         raise ValueError(f"graph has {g.n} vertices, above the all-pairs cap {cap}")
     return csgraph.dijkstra(graph_csr(g), directed=True)

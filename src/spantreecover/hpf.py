@@ -25,7 +25,6 @@ from .graphs import (
     ClusterDistances,
     WeightedGraph,
     apsp,
-    dijkstra,
     greedy_net,
     gt,
     leq,
@@ -348,16 +347,13 @@ def aggregation_distortion(
     pre: dict[int, set[int]] = {}
     for idx, c in enumerate(clusters):
         pre.setdefault(assignment[idx], set()).update(c)
-    near = [math.inf] * g.n
-    for p in portals:
-        spt = dijkstra(g, p)
-        for v in range(g.n):
-            near[v] = min(near[v], spt.dist[v])
+    near = apsp(g)[list(portals)].min(axis=0)
+    dists = ClusterDistances(g)
     worst = 0.0
     for portal, verts in sorted(pre.items()):
-        spt = dijkstra(g, portal, restrict=verts)
-        for v in verts:
-            worst = max(worst, spt.dist[v] - near[v])
+        vs = sorted(verts)
+        gap = dists.distances(frozenset(verts), [portal], vs)[0] - near[vs]
+        worst = max(worst, float(gap.max()))
     return worst
 
 

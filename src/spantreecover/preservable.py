@@ -10,11 +10,11 @@ The checks assert the path-system properties and the preservable lemma on the
 sketch. The lemma check makes a fixed number of linear passes over the sketch
 tree, plus one pass per member of the pair's first subcluster.
 
-One ``cache`` dict per hierarchy serves all of these functions. It holds the
-member-to-subcluster maps, the pair paths, glue descents and searches
-towards pi of the build, the nearest anchors of the sketch, and the shortest
-detours of the path check. All of them depend only on the hierarchy and the
-highway, so they repeat across hierarchy copies.
+Every search inside a cluster goes through the construction's
+``ClusterDistances``, which runs and memoizes it by member set: the build's
+pair paths, glue descents and searches towards pi, the sketch's nearest
+anchors and the path check's shortest detours. They repeat across
+hierarchies and hierarchy copies.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import INF, TOL, ClusterDistances, WeightedGraph, dijkstra, leq, root_tree
+from .graphs import TOL, ClusterDistances, WeightedGraph, leq, root_tree
 from .hpf import Hierarchy
 
 
@@ -54,37 +54,14 @@ class SketchGraph:
         return len(self.real_edges) + len(self.fake_edges) + len(self.inter_cluster)
 
 
-def member_clusters(
-    hier: Hierarchy, cluster_id: int, level: int, cache: Optional[dict] = None
-) -> dict[int, int]:
-    """Map each member of the cluster to its level-``level`` cluster id,
-    memoized per hierarchy in ``cache``."""
-    key = ("clusters", cluster_id, level)
-    cof = None if cache is None else cache.get(key)
-    if cof is None:
-        cof = {v: hier.cluster_at(v, level) for v in hier.clusters[cluster_id].members}
-        if cache is not None:
-            cache[key] = cof
-    return cof
+def member_clusters(hier: Hierarchy, cluster_id: int, level: int) -> dict[int, int]:
+    """Map each member of the cluster to its level-``level`` cluster id."""
+    vmap = hier.vmap[min(level, hier.i_max)]
+    return {v: vmap[v] for v in hier.clusters[cluster_id].members}
 
 
 class PreservableError(AssertionError):
     pass
-
-
-def path_to_pi(
-    dists: ClusterDistances, chat: frozenset[int], pi: list[int], source: int
-) -> list[int]:
-    """Shortest path inside G[chat] union pi from ``source`` (in chat) to the
-    nearest vertex of pi (ties: smaller id), as ``dijkstra`` with
-    ``restrict=chat, paths=[pi], stop=pi`` finds it. That search stops at
-    the first pi vertex it settles, so it never walks a pi edge, and the
-    vertex lies in chat: the path climbs G[chat]'s shortest-path tree."""
-    tree = dists.tree(chat, source)
-    reached = tree.nearest(chat.intersection(pi))
-    if reached is None:
-        raise ValueError("highway unreachable from the cluster")
-    return tree.path_to(reached)
 
 
 def build_preservable_set(
@@ -97,20 +74,14 @@ def build_preservable_set(
     pair: Optional[tuple[int, int]],
     mu_i: float,
     epsilon: float,
-    cache: Optional[dict] = None,
     dists: Optional[ClusterDistances] = None,
 ) -> PreservableSet:
     """Step 1 routes the designated pair; Step 2 glues every remaining
     cluster onto the growing path system, one hierarchy level at a time.
 
-    ``cache`` memoizes shortest paths that depend only on the hierarchy
-    and the highway (pair paths, glue descents, searches towards pi), which
-    repeat across hierarchy copies. ``dists`` shares the in-cluster
-    distance blocks, which the paths are read off, with the other
-    hierarchies of the construction.
+    Every path is a shortest path of ``dists``: pass the construction's
+    own to share its searches with the other hierarchies and copies.
     """
-    if cache is None:
-        cache = {}
     if dists is None:
         dists = ClusterDistances(g)
     chat = hier.clusters[cluster_id].members
@@ -118,7 +89,7 @@ def build_preservable_set(
     if pi_verts.isdisjoint(chat):
         raise ValueError("highway does not touch the cluster")
     isub = max(level - ell, 0)
-    cof = member_clusters(hier, cluster_id, isub, cache)
+    cof = member_clusters(hier, cluster_id, isub)
 
     paths: list[list[int]] = [list(pi)]
     origins: list[tuple[str, int]] = [("highway", pi[0])]
@@ -145,27 +116,18 @@ def build_preservable_set(
 
     register(0)
     c_pi = {cof[v] for v in pi if v in cof}
+    # as a path target, the search over G[chat] union pi that stops at pi
     pi_key = tuple(pi)
-
-    def to_pi(source: int) -> list[int]:
-        key = ("to-pi", cluster_id, pi_key, source)
-        seq = cache.get(key)
-        if seq is None:
-            seq = cache[key] = path_to_pi(dists, chat, pi, source)
-        return seq
 
     if pair is not None:
         c1, c2 = hier.clusters[pair[0]], hier.clusters[pair[1]]
         if not (c1.members <= chat and c2.members <= chat):
             raise ValueError("pair clusters not inside the cluster")
         x, y = c1.representative, c2.representative
-        pkey = ("pair", cluster_id, pair)
-        pxy = cache.get(pkey)
-        if pxy is None:
-            pxy = cache[pkey] = dists.tree(chat, x).path_to(y)
+        pxy = dists.path(chat, x, y)
         c_pxy = {cof[v] for v in pxy}
         if c_pxy.isdisjoint(c_pi):
-            pprime = to_pi(x)
+            pprime = dists.path(chat, x, pi_key)
             j2 = next(
                 t
                 for t, v in enumerate(pprime)
@@ -210,10 +172,10 @@ def build_preservable_set(
 
     # first iteration: the cluster's own representative reaches pi
     r0 = hier.clusters[cluster_id].representative
-    glue(to_pi(r0), r0)
+    glue(dists.path(chat, r0, pi_key), r0)
 
     for j in range(level - 1, isub - 1, -1):
-        sub_ids = sorted(set(member_clusters(hier, cluster_id, j, cache).values()))
+        sub_ids = sorted(set(member_clusters(hier, cluster_id, j).values()))
         for did in sub_ids:
             d = hier.clusters[did]
             pid = hier.cluster_at(d.representative, j + 1)
@@ -221,12 +183,8 @@ def build_preservable_set(
             r, rp = d.representative, p.representative
             if r == rp and (cof.get(r) in touch or r in onpath):
                 continue
-            gkey = ("glue", did)
-            seq = cache.get(gkey)
-            if seq is None:
-                within = frozenset(p.members & chat | {r, rp})
-                seq = cache[gkey] = dists.tree(within, r).path_to(rp)
-            glue(seq, r)
+            # p lies inside chat and holds r and rp: the hierarchy is laminar
+            glue(dists.path(p.members, r, rp), r)
 
     return PreservableSet(paths, 0, touch, inter, origins)
 
@@ -240,17 +198,15 @@ def build_sketch_graph(
     ell: int,
     mu_i: float,
     epsilon: float,
-    cache: Optional[dict] = None,
+    dists: Optional[ClusterDistances] = None,
 ) -> SketchGraph:
     """Condense the path system into a tree: path and inter-cluster edges
     stay real; off-path vertices hang by a fake edge of weight exactly
-    10 * epsilon * mu^i from the nearest on-path vertex of their cluster.
-
-    ``cache`` (shared with ``build_preservable_set``) memoizes the nearest
-    anchors per (cluster, touching path), which repeat across copies.
+    10 * epsilon * mu^i from the nearest on-path vertex of their cluster,
+    as ``dists.anchors`` finds it.
     """
-    if cache is None:
-        cache = {}
+    if dists is None:
+        dists = ClusterDistances(g)
     chat = hier.clusters[cluster_id].members
     isub = max(level - ell, 0)
     verts = sorted(chat | {v for p in pset.paths for v in p})
@@ -268,7 +224,7 @@ def build_sketch_graph(
 
     fake: list[tuple[int, int, float]] = []
     wfake = 10.0 * epsilon * mu_i
-    sub_ids = sorted(set(member_clusters(hier, cluster_id, isub, cache).values()))
+    sub_ids = sorted(set(member_clusters(hier, cluster_id, isub).values()))
     for cid in sub_ids:
         members = hier.clusters[cid].members
         if cid not in pset.touch:
@@ -277,31 +233,12 @@ def build_sketch_graph(
         off = sorted(members - onpath)
         if not off:
             continue
-        key = ("anchors", cid, tuple(path))
-        best = cache.get(key)
-        if best is None:
-            best = cache[key] = _nearest_anchors(g, members, path)
+        best = dists.anchors(members, path)
         for v in off:
             if v not in best:
                 raise ValueError(f"vertex {v} cannot reach its cluster path")
             fake.append((v, best[v][1], wfake))
     return SketchGraph(verts, real, fake, inter, mu_i)
-
-
-def _nearest_anchors(
-    g: WeightedGraph, members: frozenset[int], path: list[int]
-) -> dict[int, tuple[float, int]]:
-    """(distance, anchor) of the nearest path vertex inside ``members`` (ties:
-    smaller id) for every other member, measured in G[members] union path."""
-    on = set(path)
-    off = members - on
-    best: dict[int, tuple[float, int]] = {}
-    for a in sorted(on & members):
-        dist = dijkstra(g, a, restrict=members, paths=[path]).dist
-        for v in off:
-            if dist[v] < INF and (v not in best or (dist[v], a) < best[v]):
-                best[v] = (dist[v], a)
-    return best
 
 
 def verify_preservable_set(
@@ -311,18 +248,15 @@ def verify_preservable_set(
     cluster_id: int,
     level: int,
     ell: int,
-    cache: Optional[dict] = None,
+    dists: Optional[ClusterDistances] = None,
 ) -> None:
-    """Assert the structural path-system properties.
-
-    ``cache`` (shared with ``build_preservable_set``) memoizes the length
-    of each path's shortest detour through a touched cluster.
+    """Assert the structural path-system properties. Each path's shortest
+    detour through a touched cluster is ``dists.detour``'s.
     """
-    if cache is None:
-        cache = {}
-    chat = hier.clusters[cluster_id].members
+    if dists is None:
+        dists = ClusterDistances(g)
     isub = max(level - ell, 0)
-    cof = member_clusters(hier, cluster_id, isub, cache)
+    cof = member_clusters(hier, cluster_id, isub)
     sub_ids = sorted(set(cof.values()))
     # pairwise vertex-disjoint
     seen: dict[int, int] = {}
@@ -346,13 +280,7 @@ def verify_preservable_set(
             continue
         plen = sum(g.weight(a, b) for a, b in zip(p, p[1:]))
         for cid in sorted({cof[v] for v in p if v in cof}):
-            key = ("span", cid, tuple(p))
-            span = cache.get(key)
-            if span is None:
-                span = cache[key] = dijkstra(
-                    g, p[0], restrict=hier.clusters[cid].members, paths=[p],
-                    stop={p[-1]},
-                ).dist[p[-1]]
+            span = dists.detour(hier.clusters[cid].members, p)
             assert abs(span - plen) <= TOL, (
                 f"path {idx} not shortest within cluster {cid}"
             )
@@ -394,20 +322,17 @@ def verify_preservable_lemma(
     epsilon: float,
     theory_mode: bool = False,
     dists: Optional[ClusterDistances] = None,
-    cache: Optional[dict] = None,
 ) -> dict:
     """Check the sketch-tree guarantees; returns a report of measurements.
 
     Every bound is checked in linear passes over the sketch tree, and every
     tree distance is wd[u] + wd[v] - 2 wd[lca] over the root-path sums of
     ``_sketch_walk``. ``dists`` supplies the in-cluster distances of the
-    pair bound and ``cache`` the per-hierarchy memo of
-    ``build_preservable_set``; pass the construction's own to share their
-    work.
+    pair bound; pass the construction's own to share its blocks.
     """
     chat = hier.clusters[cluster_id].members
     isub = max(level - ell, 0)
-    cof = member_clusters(hier, cluster_id, isub, cache)
+    cof = member_clusters(hier, cluster_id, isub)
     report: dict = {}
 
     index, parent, order, wd = _sketch_walk(sketch)

@@ -229,24 +229,25 @@ def test_block_paths_equal_dijkstra_paths(kind, params, seed, monkeypatch):
     # the build reads its paths off the csgraph blocks: every tree path and
     # every search towards pi that a checks-off build makes must be the
     # path of dijkstra's tie rule
-    from spantreecover import preservable
     from spantreecover.cover import CoverConfig, span_tree_cover
 
     tree_paths: dict[tuple[frozenset, int], dict[int, list]] = {}
     pi_paths: dict[tuple[frozenset, tuple, int], list] = {}
-    path_to, to_pi = graphs.ClusterTree.path_to, preservable.path_to_pi
+    path_to, path = graphs.ClusterTree.path_to, graphs.ClusterDistances.path
 
     def recorded_path_to(tree, v):
         out = path_to(tree, v)
         tree_paths.setdefault((frozenset(tree.idx.tolist()), tree.source), {})[v] = out
         return out
 
-    def recorded_to_pi(dists, chat, pi, source):
-        out = pi_paths[(chat, tuple(pi), source)] = to_pi(dists, chat, pi, source)
+    def recorded_path(dists, chat, source, target):
+        out = path(dists, chat, source, target)
+        if isinstance(target, tuple):  # the search towards pi
+            pi_paths[(chat, target, source)] = out
         return out
 
     monkeypatch.setattr(graphs.ClusterTree, "path_to", recorded_path_to)
-    monkeypatch.setattr(preservable, "path_to_pi", recorded_to_pi)
+    monkeypatch.setattr(graphs.ClusterDistances, "path", recorded_path)
     g = generate(kind, params, seed=seed)
     span_tree_cover(g, CoverConfig(check=False))
     gs, _ = g.rescaled()
@@ -258,6 +259,42 @@ def test_block_paths_equal_dijkstra_paths(kind, params, seed, monkeypatch):
     for (chat, pi, source), path in pi_paths.items():
         spt = dijkstra(gs, source, restrict=chat, paths=[list(pi)], stop=set(pi))
         assert path == spt.path_to(spt.reached), (sorted(chat), pi, source)
+
+
+def test_checked_build_searches_each_cluster_once(monkeypatch):
+    # ClusterDistances owns every in-cluster search of the build and its
+    # checks: a checks-on build derives each (member set, source) tree once
+    # and never repeats a heap search, across hierarchies and copies
+    import sys
+
+    from spantreecover.cover import CoverConfig, span_tree_cover
+
+    derived, searches = [], []
+    make_tree, search = graphs.ClusterTree, graphs.dijkstra
+
+    def counted_tree(source, idx, *rest):
+        derived.append((frozenset(idx.tolist()), source))
+        return make_tree(source, idx, *rest)
+
+    def counted_search(g, source, restrict=None, cutoff=math.inf, stop=None, paths=()):
+        paths = [list(p) for p in paths]
+        searches.append((
+            None if restrict is None else frozenset(restrict),
+            source,
+            tuple(tuple(p) for p in paths),
+            None if stop is None else frozenset(stop),
+        ))
+        return search(g, source, restrict, cutoff, stop, paths)
+
+    monkeypatch.setattr(graphs, "ClusterTree", counted_tree)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spantreecover") and getattr(module, "dijkstra", None) is search:
+            monkeypatch.setattr(module, "dijkstra", counted_search)
+    cover = span_tree_cover(generate("grid", {"k": 8}), CoverConfig())
+    assert cover.diagnostics["nodes_checked"] == 802
+    assert derived and searches
+    assert len(derived) == len(set(derived))
+    assert len(searches) == len(set(searches))
 
 
 def test_cluster_distances_sub_block_and_outside_vertex():

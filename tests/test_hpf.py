@@ -157,6 +157,40 @@ def test_aggregation_distortion_reported():
     assert math.isfinite(dist) and dist >= 0.0
 
 
+def _distortion_loop(g, clusters, portals, assignment):
+    """Reference: n + k heap searches, one per portal for the nearest-portal
+    distances and one per preimage inside it."""
+    pre = {}
+    for idx, c in enumerate(clusters):
+        pre.setdefault(assignment[idx], set()).update(c)
+    near = [math.inf] * g.n
+    for p in portals:
+        spt = dijkstra(g, p)
+        for v in range(g.n):
+            near[v] = min(near[v], spt.dist[v])
+    worst = 0.0
+    for portal, verts in sorted(pre.items()):
+        spt = dijkstra(g, portal, restrict=verts)
+        for v in verts:
+            worst = max(worst, spt.dist[v] - near[v])
+    return worst
+
+
+def test_aggregation_distortion_matches_heap_reference():
+    g = generate("grid", {"k": 6})
+    singletons = [frozenset([v]) for v in range(36)]
+    rows = [frozenset(range(r, r + 6)) for r in range(0, 36, 6)]
+    for clusters, portals in [
+        (singletons, [0, 35]),
+        (singletons, [0, 21, 35]),
+        (singletons, [7, 14, 29, 30]),
+        (rows, [0, 35]),
+    ]:
+        label = cluster_aggregation(g, clusters, portals)
+        want = _distortion_loop(g, clusters, portals, label)
+        assert aggregation_distortion(g, clusters, portals, label) == want
+
+
 def _aggregation_loop(g, clusters, portals, diams):
     """Reference: the arc map from one dict update per edge, and seeds from
     testing every portal against every cluster."""

@@ -184,13 +184,13 @@ def test_lemma_trivial_single_cluster():
 
 def reference_lemma(
     g, sketch, pset, hier, cluster_id, level, ell, pair, mu_i, epsilon,
-    theory_mode=False, dists=None, cache=None,
+    theory_mode=False, dists=None,
 ):
     """The lemma's measurements from an LCA oracle over the sketch and
     batched queries over all pairs: (report, distance to pi per sketch
     vertex). Checks nothing."""
     chat = hier.clusters[cluster_id].members
-    cof = member_clusters(hier, cluster_id, max(level - ell, 0), cache)
+    cof = member_clusters(hier, cluster_id, max(level - ell, 0))
     index = {v: i for i, v in enumerate(sketch.vertices)}
     edges = sketch.real_edges + sketch.fake_edges + sketch.inter_cluster
     tor = TreeOracle(len(index), [(index[u], index[v], w) for u, v, w in edges], 0)
