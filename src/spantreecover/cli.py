@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .cover import (
     CoverConfig,
     cover_stats,
@@ -24,7 +26,7 @@ from .cover import (
     span_tree_cover,
     verify_spanning,
 )
-from .graphs import WeightedGraph, apsp, generate, load_graph, save_graph
+from .graphs import TOL, WeightedGraph, apsp, generate, load_graph, save_graph
 from .hpf import verify_padding
 from .oracle import build_oracle, query_path
 from .routing import (
@@ -46,11 +48,12 @@ def _write_json(doc: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_pairs(spec: str | None, g: WeightedGraph, seed: int):
+def _parse_pairs(spec: str | None, g: WeightedGraph, seed: int) -> np.ndarray:
+    """The pairs of ``--pairs`` as a (P, 2) int64 array."""
     if spec is None or spec == "default":
         return default_demand_pairs(g, seed)
     if spec == "all":
-        return [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+        return default_demand_pairs(g, seed, cap=g.n)
     if spec.startswith("sample:"):
         k = int(spec.split(":", 1)[1])
         return default_demand_pairs(g, seed, sample_size=k, cap=0)
@@ -65,7 +68,7 @@ def _parse_pairs(spec: str | None, g: WeightedGraph, seed: int):
                 if not 0 <= x < g.n:
                     raise ValueError(f"pairs file: vertex {x} outside range(0, {g.n})")
             pairs.append((u, v))
-    return pairs
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def _config_from_args(args) -> CoverConfig:
@@ -162,7 +165,7 @@ def cmd_verify(args) -> int:
     try:
         st = cover_stretch(g, stored, pairs)
         families["stretch_at_least_one"] = all(
-            r >= 1.0 - 1e-9 for _, _, r, _ in st["table"]
+            r >= 1.0 - TOL for _, _, r, _ in st["table"]
         )
         max_stretch = st["max"]
     except (AssertionError, ValueError):
@@ -194,7 +197,7 @@ def cmd_route(args) -> int:
     rows = []
     failures = []
     worst = 1.0
-    for u, v in pairs:
+    for u, v in pairs.tolist():
         if u == v:
             continue
         try:

@@ -31,7 +31,6 @@ from .oracle import OracleIndex, TreeOracle, stack_trees
 from .preservable import (
     build_preservable_set,
     build_sketch_graph,
-    member_clusters,
     verify_preservable_lemma,
     verify_preservable_set,
 )
@@ -61,7 +60,7 @@ class CoverConfig:
     rho: float = 24.0
     eta: float = 1.0
     mode: str = "demand"  # demand | exhaustive | theory
-    pairs: Optional[list[tuple[int, int]]] = None
+    pairs: Optional[np.ndarray] = None  # (P, 2) vertex ids; a list of pairs works too
     seed: int = 42
     check: bool = True
 
@@ -102,10 +101,11 @@ class TreeCover:
 
 def default_demand_pairs(
     g: WeightedGraph, seed: int, sample_size: int = 10_000, cap: int = 512
-) -> list[tuple[int, int]]:
-    """All pairs up to the cap; above it, a seeded sample plus every edge."""
+) -> np.ndarray:
+    """All pairs up to the cap; above it, a seeded sample plus every edge.
+    Returns the sorted pairs (u, v), u < v, as a (P, 2) int64 array."""
     if g.n <= cap:
-        return [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+        return np.column_stack(np.triu_indices(g.n, 1)).astype(np.int64)
     rng = np.random.default_rng(seed)
     pairs = {(min(u, v), max(u, v)) for u, v, _ in g.edges}
     sample_size = min(sample_size, g.n * (g.n - 1) // 2)
@@ -113,7 +113,7 @@ def default_demand_pairs(
         u, v = int(rng.integers(g.n)), int(rng.integers(g.n))
         if u != v:
             pairs.add((min(u, v), max(u, v)))
-    return sorted(pairs)
+    return np.asarray(sorted(pairs), dtype=np.int64).reshape(-1, 2)
 
 
 def path_preserving_tree(
@@ -206,23 +206,16 @@ class _Recursion:
         if hit is not None:
             return hit
 
-        g, ell, epsilon = self.g, self.ell, self.epsilon
+        g, dists = self.g, self.dists
         pair_entry = copy.pairs.get((level, cluster_id))
         pair = pair_entry[:2] if pair_entry else None
-        mu_i = self.mu**level
-        dists = self.dists
-        pset = build_preservable_set(
-            g, hier, cluster_id, level, ell, pi, pair, mu_i, epsilon, dists=dists
-        )
+        pset = build_preservable_set(g, hier, cluster_id, level, self.ell, pi, pair, dists=dists)
         if self.check:
-            verify_preservable_set(g, pset, hier, cluster_id, level, ell, dists=dists)
-            sketch = build_sketch_graph(
-                g, pset, hier, cluster_id, level, ell, mu_i, epsilon, dists=dists
-            )
+            mu_i, epsilon = self.mu**level, self.epsilon
+            verify_preservable_set(g, pset, dists=dists)
+            sketch = build_sketch_graph(g, pset, mu_i, epsilon, dists=dists)
             report = verify_preservable_lemma(
-                g, pset=pset, sketch=sketch, hier=hier, cluster_id=cluster_id,
-                level=level, ell=ell, pair=pair, mu_i=mu_i, epsilon=epsilon,
-                theory_mode=self.theory_mode, dists=dists,
+                g, sketch, pset, mu_i, epsilon, theory_mode=self.theory_mode, dists=dists
             )
             diagnostics = self.diagnostics
             if diagnostics is not None:
@@ -232,17 +225,15 @@ class _Recursion:
                     diagnostics.get("max_diam_ratio", 0.0), report["diam_ratio"]
                 )
 
-        # a singleton subcluster's tree is its touching path, added once
-        # per path
+        # the children are the subclusters the paths touch; a singleton
+        # subcluster's tree is its touching path, added once per path
         parts = []
         single_paths: set[int] = set()
-        isub = max(level - ell, 0)
-        for cid in sorted(set(member_clusters(hier, cluster_id, isub).values())):
-            touch = pset.touch[cid]
+        for cid, touch in sorted(pset.touch.items()):
             if len(hier.clusters[cid].members) == 1:
                 single_paths.add(touch)
             else:
-                parts.append(self.tree(copy, by_ancestor, cid, isub, pset.paths[touch]))
+                parts.append(self.tree(copy, by_ancestor, cid, pset.sublevel, pset.paths[touch]))
         flat = self.path_codes(pset.paths[k] for k in sorted(single_paths))
         flat += self.path_codes(pset.inter_cluster)
         parts.append(np.asarray(flat, dtype=np.int64))
@@ -263,14 +254,11 @@ def span_tree_cover(g: WeightedGraph, config: CoverConfig) -> TreeCover:
     gs, scale = g.rescaled()
     dists = ClusterDistances(gs, apsp(gs))
     hpf = build_hpf(gs, config.mu, config.rho, config.eta, dists=dists)
+    demand = config.pairs
     if config.mode == "exhaustive":
-        demand: object = "exhaustive"
-    else:
-        demand = (
-            config.pairs
-            if config.pairs is not None
-            else default_demand_pairs(gs, config.seed)
-        )
+        demand = None
+    elif demand is None:
+        demand = default_demand_pairs(gs, config.seed)
     pp = make_pair_preserving(hpf, config.epsilon, demand, dists=dists)
 
     trees: list[SpanningTree] = []
@@ -338,22 +326,17 @@ def _best_trees(
     return best, best_idx
 
 
-def cover_stretch(
-    g: WeightedGraph, cover: TreeCover, pairs: Iterable[tuple[int, int]]
-) -> dict:
-    """Min-over-trees stretch per pair, with max/mean summary. Each pair's
-    tree is the smallest index attaining the exact minimum, as in
-    ``oracle.query_distance``."""
+def cover_stretch(g: WeightedGraph, cover: TreeCover, pairs) -> dict:
+    """Min-over-trees stretch per pair of the (P, 2) ``pairs`` (or a list
+    of pairs), with max/mean summary. Each pair's tree is the smallest
+    index attaining the exact minimum, as in ``oracle.query_distance``."""
     oracles = cover.tree_oracles(g)
-    pairs = [(min(u, v), max(u, v)) for u, v in pairs if u != v]
-    us = np.asarray([u for u, _ in pairs], dtype=np.int64)
-    vs = np.asarray([v for _, v in pairs], dtype=np.int64)
+    ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    us, vs = ends.min(axis=1), ends.max(axis=1)
     best, best_idx = _best_trees(oracles, us, vs)
-    ratio = best / apsp(g)[us, vs]
-    table = [
-        (u, v, float(ratio[i]), int(best_idx[i])) for i, (u, v) in enumerate(pairs)
-    ]
-    ratios = [r for _, _, r, _ in table]
+    ratios = (best / apsp(g)[us, vs]).tolist()
+    table = list(zip(us.tolist(), vs.tolist(), ratios, best_idx.tolist()))
     return {
         "max": max(ratios),
         "mean": sum(ratios) / len(ratios),
@@ -484,7 +467,8 @@ def _is_id(x) -> bool:
 
 
 def cover_stats(g: WeightedGraph, cover: TreeCover, pairs=None) -> dict:
-    pairs = pairs or default_demand_pairs(g, int(cover.params.get("seed", 42)))
+    if pairs is None or len(pairs) == 0:
+        pairs = default_demand_pairs(g, int(cover.params.get("seed", 42)))
     stretch = cover_stretch(g, cover, pairs)
     mst = mst_weight(g)
     weights = [t.weight(g) for t in cover.trees]

@@ -16,7 +16,7 @@ import itertools
 import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -487,15 +487,16 @@ def set_separation(dist: np.ndarray, a: frozenset[int], b: frozenset[int]) -> fl
 def make_pair_preserving(
     hpf: HPFamily,
     epsilon: float,
-    demanded_pairs: Union[str, Iterable[tuple[int, int]]] = "exhaustive",
+    pairs: Optional[np.ndarray] = None,
     dists: Optional[ClusterDistances] = None,
 ) -> HPFamily:
     """Augment the family with subcluster-pair assignments via copies.
 
-    Demand mode: each demanded (u, v) is matched to the lowest level and
-    first hierarchy whose cluster contains both, keeps their distance, and
-    separates them into distinct subclusters ell levels down. Exhaustive
-    mode enumerates every well-separated subcluster pair of every cluster.
+    Demand mode: each demanded (u, v), a row of the (P, 2) ``pairs``, is
+    matched to the lowest level and first hierarchy whose cluster contains
+    both, keeps their distance, and separates them into distinct
+    subclusters ell levels down. Exhaustive mode (``pairs`` None)
+    enumerates every well-separated subcluster pair of every cluster.
     One copy per distinct pair demanded of the busiest cluster; a copy
     serves every vertex pair that shares its subcluster pair.
     ``dists`` supplies (and keeps) the in-cluster distances.
@@ -512,7 +513,7 @@ def make_pair_preserving(
     records = PairRecords.empty()
     unresolved: list[tuple[int, int]] = []
 
-    if demanded_pairs == "exhaustive":
+    if pairs is None:
         for j, h in enumerate(hpf.hierarchies):
             for i in range(1, h.i_max + ell):
                 isub = max(i - ell, 0)
@@ -535,7 +536,8 @@ def make_pair_preserving(
                     if entry:
                         demands[j][(i, cid)] = {p: t for t, p in enumerate(entry)}
     else:
-        records, unresolved = _assign_pairs(hpf, ell, demanded_pairs, dists, demands)
+        ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        records, unresolved = _assign_pairs(hpf, ell, ends, dists, demands)
 
     copies: list[HierarchyCopy] = []
     first_copy: list[int] = []  # per hierarchy, the global index of its copy 0
@@ -548,8 +550,8 @@ def make_pair_preserving(
                     per_copy.append({})
                 per_copy[t][node] = pair
         first_copy.append(len(copies))
-        for t, pairs in enumerate(per_copy):
-            copies.append(HierarchyCopy(j, h, t, pairs))
+        for t, chosen in enumerate(per_copy):
+            copies.append(HierarchyCopy(j, h, t, chosen))
     # the records come back holding copy slots; make them copy indices
     records = replace(
         records, copy=np.asarray(first_copy, dtype=np.int64)[records.hierarchy] + records.copy
@@ -568,20 +570,17 @@ def make_pair_preserving(
 def _assign_pairs(
     hpf: HPFamily,
     ell: int,
-    demanded_pairs: Iterable[tuple[int, int]],
+    ends: np.ndarray,
     dists: ClusterDistances,
     demands: list[dict],
 ) -> tuple[PairRecords, list[tuple[int, int]]]:
-    """Demand mode of ``make_pair_preserving``: match each demanded pair to
-    the first (level, hierarchy) in scan order that holds it, keeps its
-    distance and splits it, and fill ``demands`` with the matched
-    subcluster pairs. Returns the records, whose ``copy`` column holds the
+    """Demand mode of ``make_pair_preserving``: match each demanded pair, a
+    row of ``ends``, to the first (level, hierarchy) in scan order that
+    holds it, keeps its distance and splits it, and fill ``demands`` with
+    the matched subcluster pairs. Returns the records, whose ``copy`` column holds the
     copy slot within the hierarchy, and the unmatched pairs."""
     d = hpf.dist
     n = hpf.graph.n
-    ends = np.fromiter(
-        itertools.chain.from_iterable(demanded_pairs), dtype=np.int64
-    ).reshape(-1, 2)
     lo, hi = ends.min(axis=1), ends.max(axis=1)
     codes = np.unique(lo[lo != hi] * n + hi[lo != hi])
     us, vs = codes // n, codes % n

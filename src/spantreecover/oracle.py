@@ -95,7 +95,6 @@ class OracleIndex:
     depth: np.ndarray = field(repr=False)
     wdepth: np.ndarray = field(repr=False)
     parent: np.ndarray = field(repr=False)
-    params: dict = field(default_factory=dict)
     trees_touched: int = 0  # query-cost instrumentation
     trees: Optional[list[TreeOracle]] = field(default=None, repr=False)
 
@@ -174,9 +173,9 @@ def stack_trees(
 def build_oracle(g: WeightedGraph, cover) -> OracleIndex:
     """Stacked LCA data of every cover tree over ``g``: the index that
     ``cover.oracle_index(g)`` keeps, so no tree is rooted twice for one
-    graph object, with its own query count and the cover's parameters.
+    graph object, with its own query count.
     Raises ValueError for a malformed tree, as ``stack_trees`` does."""
-    return replace(cover.oracle_index(g), params=dict(cover.params), trees_touched=0)
+    return replace(cover.oracle_index(g), trees_touched=0)
 
 
 def query_distance(oracle: OracleIndex, u: int, v: int) -> tuple[float, int]:

@@ -19,7 +19,7 @@ hierarchies and hierarchy copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,14 +31,22 @@ from .hpf import Hierarchy
 @dataclass
 class PreservableSet:
     """Vertex-disjoint paths: paths[highway] is pi; touch maps each
-    clustering cluster to the unique path index that enters it."""
+    clustering cluster to the unique path index that enters it.
+
+    The set records the node it was built for: cluster ``cluster_id`` of
+    ``hier``, its clustering at level ``sublevel`` and the designated
+    subcluster pair, if any. The checks read the node from here."""
 
     paths: list[list[int]]
     highway: int
     touch: dict[int, int]
     inter_cluster: list[tuple[int, int]]
     # per path: ("highway" | "pair-main" | "pair-bridge" | "glue", origin rep)
-    origins: list[tuple[str, int]] = field(default_factory=list)
+    origins: list[tuple[str, int]]
+    hier: Hierarchy
+    cluster_id: int
+    sublevel: int  # max(level - ell, 0)
+    pair: Optional[tuple[int, int]]
 
 
 @dataclass
@@ -47,7 +55,6 @@ class SketchGraph:
     real_edges: list[tuple[int, int, float]]
     fake_edges: list[tuple[int, int, float]]
     inter_cluster: list[tuple[int, int, float]]
-    scale: float
 
     @property
     def edge_count(self) -> int:
@@ -72,8 +79,6 @@ def build_preservable_set(
     ell: int,
     pi: list[int],
     pair: Optional[tuple[int, int]],
-    mu_i: float,
-    epsilon: float,
     dists: Optional[ClusterDistances] = None,
 ) -> PreservableSet:
     """Step 1 routes the designated pair; Step 2 glues every remaining
@@ -186,16 +191,12 @@ def build_preservable_set(
             # p lies inside chat and holds r and rp: the hierarchy is laminar
             glue(dists.path(p.members, r, rp), r)
 
-    return PreservableSet(paths, 0, touch, inter, origins)
+    return PreservableSet(paths, 0, touch, inter, origins, hier, cluster_id, isub, pair)
 
 
 def build_sketch_graph(
     g: WeightedGraph,
     pset: PreservableSet,
-    hier: Hierarchy,
-    cluster_id: int,
-    level: int,
-    ell: int,
     mu_i: float,
     epsilon: float,
     dists: Optional[ClusterDistances] = None,
@@ -207,8 +208,8 @@ def build_sketch_graph(
     """
     if dists is None:
         dists = ClusterDistances(g)
-    chat = hier.clusters[cluster_id].members
-    isub = max(level - ell, 0)
+    hier = pset.hier
+    chat = hier.clusters[pset.cluster_id].members
     verts = sorted(chat | {v for p in pset.paths for v in p})
     onpath = {v for p in pset.paths for v in p}
 
@@ -224,7 +225,7 @@ def build_sketch_graph(
 
     fake: list[tuple[int, int, float]] = []
     wfake = 10.0 * epsilon * mu_i
-    sub_ids = sorted(set(member_clusters(hier, cluster_id, isub).values()))
+    sub_ids = sorted(set(member_clusters(hier, pset.cluster_id, pset.sublevel).values()))
     for cid in sub_ids:
         members = hier.clusters[cid].members
         if cid not in pset.touch:
@@ -238,16 +239,12 @@ def build_sketch_graph(
             if v not in best:
                 raise ValueError(f"vertex {v} cannot reach its cluster path")
             fake.append((v, best[v][1], wfake))
-    return SketchGraph(verts, real, fake, inter, mu_i)
+    return SketchGraph(verts, real, fake, inter)
 
 
 def verify_preservable_set(
     g: WeightedGraph,
     pset: PreservableSet,
-    hier: Hierarchy,
-    cluster_id: int,
-    level: int,
-    ell: int,
     dists: Optional[ClusterDistances] = None,
 ) -> None:
     """Assert the structural path-system properties. Each path's shortest
@@ -255,8 +252,8 @@ def verify_preservable_set(
     """
     if dists is None:
         dists = ClusterDistances(g)
-    isub = max(level - ell, 0)
-    cof = member_clusters(hier, cluster_id, isub)
+    hier = pset.hier
+    cof = member_clusters(hier, pset.cluster_id, pset.sublevel)
     sub_ids = sorted(set(cof.values()))
     # pairwise vertex-disjoint
     seen: dict[int, int] = {}
@@ -313,11 +310,6 @@ def verify_preservable_lemma(
     g: WeightedGraph,
     sketch: SketchGraph,
     pset: PreservableSet,
-    hier: Hierarchy,
-    cluster_id: int,
-    level: int,
-    ell: int,
-    pair: Optional[tuple[int, int]],
     mu_i: float,
     epsilon: float,
     theory_mode: bool = False,
@@ -330,9 +322,9 @@ def verify_preservable_lemma(
     ``_sketch_walk``. ``dists`` supplies the in-cluster distances of the
     pair bound; pass the construction's own to share its blocks.
     """
-    chat = hier.clusters[cluster_id].members
-    isub = max(level - ell, 0)
-    cof = member_clusters(hier, cluster_id, isub)
+    hier, pair = pset.hier, pset.pair
+    chat = hier.clusters[pset.cluster_id].members
+    cof = member_clusters(hier, pset.cluster_id, pset.sublevel)
     report: dict = {}
 
     index, parent, order, wd = _sketch_walk(sketch)

@@ -80,7 +80,7 @@ def assign_ports(g: WeightedGraph, seed: int = 42) -> PortAssignment:
 # per-tree interval routing
 
 
-def measure_alpha(spanner: WeightedGraph, epsilon: float) -> int:
+def measure_alpha(spanner: WeightedGraph) -> int:
     """Largest number of edges at one vertex whose weights fit in a common
     factor-2 window, computed exactly by a sliding window per vertex."""
     alpha = 1
@@ -143,7 +143,7 @@ def build_tree_routing(
     n plus two sorts: each vertex's tree edges, and the children by parent."""
     n = spanner.n
     if beta is None:
-        beta = routing_beta(measure_alpha(spanner, epsilon), epsilon)
+        beta = routing_beta(measure_alpha(spanner), epsilon)
 
     edges = []
     for u, v in tree.edges:
@@ -573,9 +573,6 @@ class RoutingScheme:
     alpha: int
     beta: int
 
-    def tree_oracles(self) -> list:
-        return self.cover.tree_oracles(self.spanner)
-
 
 def build_routing_scheme(
     g: WeightedGraph, epsilon: float = 0.25, config=None, seed: int = 42
@@ -586,7 +583,7 @@ def build_routing_scheme(
     cfg = config if config is not None else CoverConfig(epsilon=epsilon)
     cover = span_tree_cover(spanner, cfg)
     ports = assign_ports(g, seed)
-    alpha = measure_alpha(spanner, epsilon)
+    alpha = measure_alpha(spanner)
     beta = routing_beta(alpha, epsilon)
     states = [
         build_tree_routing(t, spanner, ports, epsilon, beta=beta)

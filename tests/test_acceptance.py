@@ -320,7 +320,7 @@ def test_criterion_08_tree_selection(schemes):
                         agreed += 1
             hpf = scheme.cover.hpf
             eps, scale = hpf.epsilon, scheme.cover.scale
-            oracles = scheme.tree_oracles()
+            oracles = scheme.cover.tree_oracles(scheme.spanner)
             for rec in hpf.pair_records:
                 idx = select_tree(scheme.labels[rec.u], scheme.labels[rec.v])
                 d_sel = oracles[idx].dist(rec.u, rec.v) * scale

@@ -288,10 +288,22 @@ def test_default_demand_pairs_small_is_all_pairs():
 
 def test_default_demand_pairs_large_contains_edges():
     g = generate("grid", {"k": 24})  # 576 > cap
-    pairs = set(default_demand_pairs(g, 42, sample_size=2000))
+    pairs = set(map(tuple, default_demand_pairs(g, 42, sample_size=2000).tolist()))
     for u, v, _ in g.edges:
         assert (min(u, v), max(u, v)) in pairs
     assert len(pairs) >= 2000
+
+
+def test_array_demand_equals_list_demand():
+    # a (P, 2) array demands what the same pairs as a list demand
+    g = generate("grid", {"k": 5})
+    pairs = [(0, 24), (3, 12), (7, 8), (20, 4), (6, 6)]
+    from_list = span_tree_cover(g, CoverConfig(pairs=pairs))
+    from_array = span_tree_cover(g, CoverConfig(pairs=np.array(pairs)))
+    assert [t.edges for t in from_array.trees] == [t.edges for t in from_list.trees]
+    assert len(from_array.hpf.pair_records) == 4
+    assert cover_stats(g, from_array, np.array(pairs)) == cover_stats(g, from_list, pairs)
+    assert cover_stats(g, from_array) == cover_stats(g, from_array, default_demand_pairs(g, 42))
 
 
 def test_exhaustive_mode_tiny():

@@ -488,7 +488,7 @@ def test_checks_off_build_runs_no_heap_search(monkeypatch):
 def test_pairs_exhaustive_mode_small():
     g = generate("path", {"n": 8})
     hpf = build_hpf(g, 6.0, 24.0, 1.0)
-    pp = make_pair_preserving(hpf, 0.25, "exhaustive")
+    pp = make_pair_preserving(hpf, 0.25)
     assert len(pp.copies) >= len(pp.hierarchies)
     for cp in pp.copies:
         h = cp.base

@@ -26,7 +26,7 @@ MU = 6.0
 def test_single_vertex_cluster():
     g = WeightedGraph(1, [])
     hier = flat_hierarchy([[0]])
-    pset = build_preservable_set(g, hier, 1, 1, 1, [0], None, MU, EPS)
+    pset = build_preservable_set(g, hier, 1, 1, 1, [0], None)
     assert pset.paths == [[0]]
     assert pset.inter_cluster == []
     assert pset.highway == 0
@@ -36,8 +36,8 @@ def test_path4_singleton_clustering():
     # gluing walks each singleton onto the system by one crossing edge
     g = unit_path(4)
     hier = flat_hierarchy([[0], [1], [2], [3]])
-    pset = build_preservable_set(g, hier, 4, 1, 1, [0], None, MU, EPS)
-    verify_preservable_set(g, pset, hier, 4, 1, 1)
+    pset = build_preservable_set(g, hier, 4, 1, 1, [0], None)
+    verify_preservable_set(g, pset)
     assert pset.paths == [[0], [1], [2], [3]]
     assert sorted(tuple(sorted(e)) for e in pset.inter_cluster) == [
         (0, 1),
@@ -54,8 +54,8 @@ def test_pair_disjoint_case_path8():
     # {0,1}: the system keeps the pair path and the bridging subpath
     g = unit_path(8)
     hier = flat_hierarchy([[0, 1], [2, 3], [4, 5], [6, 7]])
-    pset = build_preservable_set(g, hier, 4, 1, 1, [0], (2, 3), MU, EPS)
-    verify_preservable_set(g, pset, hier, 4, 1, 1)
+    pset = build_preservable_set(g, hier, 4, 1, 1, [0], (2, 3))
+    verify_preservable_set(g, pset)
     norm = sorted(tuple(p) for p in pset.paths)
     assert (4, 5, 6) in norm  # representative-to-representative pair path
     assert (3, 2) in norm or (2, 3) in norm  # bridge toward the highway
@@ -68,21 +68,21 @@ def test_pair_clusters_must_belong():
     g = unit_path(4)
     hier = flat_hierarchy([[0], [1], [2], [3]])
     with pytest.raises(KeyError):
-        build_preservable_set(g, hier, 4, 1, 1, [0], (7, 9), MU, EPS)
+        build_preservable_set(g, hier, 4, 1, 1, [0], (7, 9))
 
 
 def test_highway_must_touch_cluster():
     g = unit_path(2)
     hier = flat_hierarchy([[0], [1]])
     with pytest.raises(ValueError):
-        build_preservable_set(g, hier, 2, 1, 1, [9], None, MU, EPS)
+        build_preservable_set(g, hier, 2, 1, 1, [9], None)
 
 
 def test_highway_neither_meeting_nor_adjacent():
     g = unit_path(4)
     hier = flat_hierarchy([[0, 1], [2, 3]])
     with pytest.raises(ValueError, match="does not touch"):
-        build_preservable_set(g, hier, 0, 0, 1, [3], None, MU, EPS)
+        build_preservable_set(g, hier, 0, 0, 1, [3], None)
 
 
 def test_adjacent_highway_fails_touch_check():
@@ -91,14 +91,14 @@ def test_adjacent_highway_fails_touch_check():
     g = unit_path(4)
     hier = flat_hierarchy([[0, 1], [2, 3]])
     with pytest.raises(ValueError, match="does not touch"):
-        build_preservable_set(g, hier, 0, 0, 1, [2], None, MU, EPS)
+        build_preservable_set(g, hier, 0, 0, 1, [2], None)
 
 
 def test_sketch_zero_fake_edges_when_all_on_paths():
     g = unit_path(4)
     hier = flat_hierarchy([[0], [1], [2], [3]])
-    pset = build_preservable_set(g, hier, 4, 1, 1, [0], None, MU, EPS)
-    sketch = build_sketch_graph(g, pset, hier, 4, 1, 1, MU, EPS)
+    pset = build_preservable_set(g, hier, 4, 1, 1, [0], None)
+    sketch = build_sketch_graph(g, pset, MU, EPS)
     assert sketch.fake_edges == []
     assert sketch.edge_count == len(sketch.vertices) - 1
 
@@ -106,8 +106,8 @@ def test_sketch_zero_fake_edges_when_all_on_paths():
 def test_fake_edge_weight_bit_exact():
     g = unit_path(8)
     hier = flat_hierarchy([[0, 1], [2, 3], [4, 5], [6, 7]])
-    pset = build_preservable_set(g, hier, 4, 1, 1, [0], (2, 3), MU, EPS)
-    sketch = build_sketch_graph(g, pset, hier, 4, 1, 1, MU, EPS)
+    pset = build_preservable_set(g, hier, 4, 1, 1, [0], (2, 3))
+    sketch = build_sketch_graph(g, pset, MU, EPS)
     assert sketch.fake_edges, "expected off-path vertices"
     for _, _, w in sketch.fake_edges:
         assert w == 10.0 * EPS * MU  # exact float equality, not approx
@@ -123,11 +123,9 @@ def test_sketch_is_tree_on_grid5():
     top = hier.levels[hier.i_max][0]
     rep = hier.clusters[top].representative
     mu_i = MU**hier.i_max
-    pset = build_preservable_set(
-        g, hier, top, hier.i_max, ell, [rep], None, mu_i, EPS
-    )
-    verify_preservable_set(g, pset, hier, top, hier.i_max, ell)
-    sketch = build_sketch_graph(g, pset, hier, top, hier.i_max, ell, mu_i, EPS)
+    pset = build_preservable_set(g, hier, top, hier.i_max, ell, [rep], None)
+    verify_preservable_set(g, pset)
+    sketch = build_sketch_graph(g, pset, mu_i, EPS)
     assert sketch.edge_count == len(sketch.vertices) - 1
     # the LCA oracle over the sketch's edges asserts that they span
     index = {v: i for i, v in enumerate(sketch.vertices)}
@@ -149,17 +147,11 @@ def test_lemma_report_grid6_with_pair():
     mu_i = MU**rec.level
     rep = hier.clusters[rec.cluster].representative
     pset = build_preservable_set(
-        g, hier, rec.cluster, rec.level, pp.ell, [rep],
-        (rec.sub1, rec.sub2), mu_i, EPS,
+        g, hier, rec.cluster, rec.level, pp.ell, [rep], (rec.sub1, rec.sub2)
     )
-    verify_preservable_set(g, pset, hier, rec.cluster, rec.level, pp.ell)
-    sketch = build_sketch_graph(
-        g, pset, hier, rec.cluster, rec.level, pp.ell, mu_i, EPS
-    )
-    report = verify_preservable_lemma(
-        g, sketch, pset, hier, rec.cluster, rec.level, pp.ell,
-        (rec.sub1, rec.sub2), mu_i, EPS,
-    )
+    verify_preservable_set(g, pset)
+    sketch = build_sketch_graph(g, pset, mu_i, EPS)
+    report = verify_preservable_lemma(g, sketch, pset, mu_i, EPS)
     assert report["is_tree"]
     assert report["max_same_cluster"] <= 21.0 * EPS * mu_i + 1e-9
     assert report["pair_gap"] <= 44.0 * EPS * mu_i + 1e-9
@@ -170,11 +162,9 @@ def test_lemma_report_grid6_with_pair():
 def test_lemma_trivial_single_cluster():
     g = WeightedGraph(1, [])
     hier = flat_hierarchy([[0]])
-    pset = build_preservable_set(g, hier, 1, 1, 1, [0], None, MU, EPS)
-    sketch = build_sketch_graph(g, pset, hier, 1, 1, 1, MU, EPS)
-    report = verify_preservable_lemma(
-        g, sketch, pset, hier, 1, 1, 1, None, MU, EPS
-    )
+    pset = build_preservable_set(g, hier, 1, 1, 1, [0], None)
+    sketch = build_sketch_graph(g, pset, MU, EPS)
+    report = verify_preservable_lemma(g, sketch, pset, MU, EPS)
     assert report["is_tree"]
     assert "pair_gap" not in report
 
@@ -182,15 +172,13 @@ def test_lemma_trivial_single_cluster():
 # linear-pass lemma check against the LCA-oracle reference -----------------
 
 
-def reference_lemma(
-    g, sketch, pset, hier, cluster_id, level, ell, pair, mu_i, epsilon,
-    theory_mode=False, dists=None,
-):
+def reference_lemma(g, sketch, pset, mu_i, epsilon, theory_mode=False, dists=None):
     """The lemma's measurements from an LCA oracle over the sketch and
     batched queries over all pairs: (report, distance to pi per sketch
     vertex). Checks nothing."""
-    chat = hier.clusters[cluster_id].members
-    cof = member_clusters(hier, cluster_id, max(level - ell, 0))
+    hier, pair = pset.hier, pset.pair
+    chat = hier.clusters[pset.cluster_id].members
+    cof = member_clusters(hier, pset.cluster_id, pset.sublevel)
     index = {v: i for i, v in enumerate(sketch.vertices)}
     edges = sketch.real_edges + sketch.fake_edges + sketch.inter_cluster
     tor = TreeOracle(len(index), [(index[u], index[v], w) for u, v, w in edges], 0)
@@ -266,11 +254,9 @@ def _lemma_on_grid5(grid5_top, with_pair, corrupt):
     pair = pair if with_pair else None
     mu_i = MU**level
     rep = hier.clusters[top].representative
-    pset = build_preservable_set(g, hier, top, level, ell, [rep], pair, mu_i, EPS)
-    sketch = build_sketch_graph(g, pset, hier, top, level, ell, mu_i, EPS)
-    return verify_preservable_lemma(
-        g, corrupt(sketch), pset, hier, top, level, ell, pair, mu_i, EPS
-    )
+    pset = build_preservable_set(g, hier, top, level, ell, [rep], pair)
+    sketch = build_sketch_graph(g, pset, mu_i, EPS)
+    return verify_preservable_lemma(g, corrupt(sketch), pset, mu_i, EPS)
 
 
 def _reweight(edges, u, v, w):

@@ -69,13 +69,13 @@ def test_ports_single_edge():
 
 def test_alpha_unit_path():
     g = unit_path(8)
-    assert measure_alpha(g, EPS) >= 2
+    assert measure_alpha(g) >= 2
 
 
 def test_alpha_bounds_every_window():
     g = generate("star_exponential", {"n": 8})
     spanner = greedy_spanner(g, 0.2)
-    alpha = measure_alpha(spanner, 0.2)
+    alpha = measure_alpha(spanner)
     for u in range(spanner.n):
         ws = sorted(w for _, w, _ in spanner.adj[u])
         for i, lo in enumerate(ws):
@@ -243,7 +243,7 @@ def test_simulate_wide_star_backtracks():
     weights = [float(2**i) for i in range(8)]
     g = star(weights)
     tree = SpanningTree(sorted((0, i) for i in range(1, g.n)), 0, (0, 0))
-    beta = routing_beta(measure_alpha(g, eps), eps)
+    beta = routing_beta(measure_alpha(g), eps)
     assert beta < len(weights)
     scheme = manual_scheme(g, tree, beta=beta, epsilon=eps)
     last = g.n - 1  # heaviest child, beyond the stored window
