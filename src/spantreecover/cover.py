@@ -329,10 +329,13 @@ def _best_trees(
 def cover_stretch(g: WeightedGraph, cover: TreeCover, pairs) -> dict:
     """Min-over-trees stretch per pair of the (P, 2) ``pairs`` (or a list
     of pairs), with max/mean summary. Each pair's tree is the smallest
-    index attaining the exact minimum, as in ``oracle.query_distance``."""
+    index attaining the exact minimum, as in ``oracle.query_distance``.
+    With no pair u != v, max and mean read 1.0 and the table is empty."""
     oracles = cover.tree_oracles(g)
     ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     ends = ends[ends[:, 0] != ends[:, 1]]
+    if not len(ends):
+        return {"max": 1.0, "mean": 1.0, "table": []}
     us, vs = ends.min(axis=1), ends.max(axis=1)
     best, best_idx = _best_trees(oracles, us, vs)
     ratios = (best / apsp(g)[us, vs]).tolist()
@@ -471,12 +474,13 @@ def cover_stats(g: WeightedGraph, cover: TreeCover, pairs=None) -> dict:
         pairs = default_demand_pairs(g, int(cover.params.get("seed", 42)))
     stretch = cover_stretch(g, cover, pairs)
     mst = mst_weight(g)
-    weights = [t.weight(g) for t in cover.trees]
+    # with no edge, every tree weighs what the MST weighs: 0
+    light = [t.weight(g) / mst if mst else 1.0 for t in cover.trees]
     return {
         "num_trees": len(cover.trees),
         "max_stretch": stretch["max"],
         "mean_stretch": stretch["mean"],
-        "individual_lightness": max(weights) / mst,
-        "collective_lightness": sum(weights) / mst,
+        "individual_lightness": max(light),
+        "collective_lightness": sum(light),
         "max_tree_degree": max(t.max_degree() for t in cover.trees),
     }

@@ -13,6 +13,8 @@ positions a + 1 .. b, so an LCA is the shallower of two table reads; the
 shallowest vertices of a contiguous preorder range are children of one
 vertex, so ties cannot change the answer. A ``TreeOracle`` is a view of one
 tree's slices, and ``query_distance`` answers with one O(T) numpy pass.
+The routing states read each tree's stamps, parents and root-path sums off
+the same stack.
 """
 
 from __future__ import annotations

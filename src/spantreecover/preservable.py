@@ -61,12 +61,6 @@ class SketchGraph:
         return len(self.real_edges) + len(self.fake_edges) + len(self.inter_cluster)
 
 
-def member_clusters(hier: Hierarchy, cluster_id: int, level: int) -> dict[int, int]:
-    """Map each member of the cluster to its level-``level`` cluster id."""
-    vmap = hier.vmap[min(level, hier.i_max)]
-    return {v: vmap[v] for v in hier.clusters[cluster_id].members}
-
-
 class PreservableError(AssertionError):
     pass
 
@@ -94,7 +88,9 @@ def build_preservable_set(
     if pi_verts.isdisjoint(chat):
         raise ValueError("highway does not touch the cluster")
     isub = max(level - ell, 0)
-    cof = member_clusters(hier, cluster_id, isub)
+    # each vertex's level-isub cluster; laminarity makes that of a vertex
+    # outside chat no subcluster of chat
+    cof = hier.vmap[min(isub, hier.i_max)]
 
     paths: list[list[int]] = [list(pi)]
     origins: list[tuple[str, int]] = [("highway", pi[0])]
@@ -104,9 +100,8 @@ def build_preservable_set(
 
     def register(idx: int) -> None:
         for v in paths[idx]:
-            c = cof.get(v)
-            if c is not None and c not in touch:
-                touch[c] = idx
+            if v in chat:
+                touch.setdefault(cof[v], idx)
 
     def add_path(seq: list[int], kind: str, rep: int) -> None:
         paths.append(list(seq))
@@ -120,7 +115,7 @@ def build_preservable_set(
             inter.append(e)
 
     register(0)
-    c_pi = {cof[v] for v in pi if v in cof}
+    c_pi = {cof[v] for v in pi if v in chat}
     # as a path target, the search over G[chat] union pi that stops at pi
     pi_key = tuple(pi)
 
@@ -136,9 +131,9 @@ def build_preservable_set(
             j2 = next(
                 t
                 for t, v in enumerate(pprime)
-                if cof.get(v) in c_pi or v in pi_verts
+                if cof[v] in c_pi or v in pi_verts
             )
-            j1 = max(t for t in range(j2 + 1) if cof.get(pprime[t]) in c_pxy)
+            j1 = max(t for t in range(j2 + 1) if cof[pprime[t]] in c_pxy)
             bridge = pprime[j1 + 1 : j2]
             add_path(pxy, "pair-main", x)
             if bridge:
@@ -147,13 +142,13 @@ def build_preservable_set(
             add_inter(pprime[j2 - 1], pprime[j2])
         else:
             j3 = next(
-                t for t, v in enumerate(pxy) if cof.get(v) in c_pi or v in pi_verts
+                t for t, v in enumerate(pxy) if cof[v] in c_pi or v in pi_verts
             )
             prefix = pxy[:j3]
             c_prefix = {cof[v] for v in prefix}
             stop = c_pi | c_prefix
             j4 = max(
-                t for t, v in enumerate(pxy) if cof.get(v) in stop or v in pi_verts
+                t for t, v in enumerate(pxy) if cof[v] in stop or v in pi_verts
             )
             suffix = pxy[j4 + 1 :]
             if prefix:
@@ -165,7 +160,7 @@ def build_preservable_set(
 
     def glue(seq: list[int], rep: int) -> None:
         stop = next(
-            (t for t, v in enumerate(seq) if cof.get(v) in touch or v in onpath),
+            (t for t, v in enumerate(seq) if cof[v] in touch or v in onpath),
             None,
         )
         if stop is None:
@@ -180,13 +175,13 @@ def build_preservable_set(
     glue(dists.path(chat, r0, pi_key), r0)
 
     for j in range(level - 1, isub - 1, -1):
-        sub_ids = sorted(set(member_clusters(hier, cluster_id, j).values()))
-        for did in sub_ids:
+        vmap_j = hier.vmap[min(j, hier.i_max)]
+        for did in sorted({vmap_j[v] for v in chat}):
             d = hier.clusters[did]
             pid = hier.cluster_at(d.representative, j + 1)
             p = hier.clusters[pid]
             r, rp = d.representative, p.representative
-            if r == rp and (cof.get(r) in touch or r in onpath):
+            if r == rp and (cof[r] in touch or r in onpath):
                 continue
             # p lies inside chat and holds r and rp: the hierarchy is laminar
             glue(dists.path(p.members, r, rp), r)
@@ -225,8 +220,8 @@ def build_sketch_graph(
 
     fake: list[tuple[int, int, float]] = []
     wfake = 10.0 * epsilon * mu_i
-    sub_ids = sorted(set(member_clusters(hier, pset.cluster_id, pset.sublevel).values()))
-    for cid in sub_ids:
+    cof = hier.vmap[min(pset.sublevel, hier.i_max)]
+    for cid in sorted({cof[v] for v in chat}):
         members = hier.clusters[cid].members
         if cid not in pset.touch:
             raise ValueError(f"cluster {cid} has no touching path")
@@ -253,8 +248,8 @@ def verify_preservable_set(
     if dists is None:
         dists = ClusterDistances(g)
     hier = pset.hier
-    cof = member_clusters(hier, pset.cluster_id, pset.sublevel)
-    sub_ids = sorted(set(cof.values()))
+    chat = hier.clusters[pset.cluster_id].members
+    cof = hier.vmap[min(pset.sublevel, hier.i_max)]
     # pairwise vertex-disjoint
     seen: dict[int, int] = {}
     for idx, p in enumerate(pset.paths):
@@ -264,7 +259,7 @@ def verify_preservable_set(
             seen[v] = idx
     # exactly-one-touch, recomputed from scratch (paths are disjoint, so
     # each on-path vertex names its one path)
-    for cid in sub_ids:
+    for cid in sorted({cof[v] for v in chat}):
         touching = sorted(
             {seen[v] for v in hier.clusters[cid].members if v in seen}
         )
@@ -276,7 +271,7 @@ def verify_preservable_set(
         if len(p) < 2:
             continue
         plen = sum(g.weight(a, b) for a, b in zip(p, p[1:]))
-        for cid in sorted({cof[v] for v in p if v in cof}):
+        for cid in sorted({cof[v] for v in p if v in chat}):
             span = dists.detour(hier.clusters[cid].members, p)
             assert abs(span - plen) <= TOL, (
                 f"path {idx} not shortest within cluster {cid}"
@@ -285,7 +280,7 @@ def verify_preservable_set(
     # vertices outside the cluster)
     for a, b in pset.inter_cluster:
         assert g.has_edge(a, b), f"inter-cluster edge ({a},{b}) not in graph"
-        assert cof.get(a) != cof.get(b) or (a not in cof or b not in cof)
+        assert a not in chat or b not in chat or cof[a] != cof[b]
 
 
 def _sketch_walk(
@@ -324,7 +319,7 @@ def verify_preservable_lemma(
     """
     hier, pair = pset.hier, pset.pair
     chat = hier.clusters[pset.cluster_id].members
-    cof = member_clusters(hier, pset.cluster_id, pset.sublevel)
+    cof = hier.vmap[min(pset.sublevel, hier.i_max)]
     report: dict = {}
 
     index, parent, order, wd = _sketch_walk(sketch)
@@ -340,9 +335,9 @@ def verify_preservable_lemma(
     deep: list[dict[int, float]] = []
     top: list[Optional[float]] = []
     for i, v in enumerate(sketch.vertices):
-        c = cof.get(v)
-        deep.append({} if c is None else {c: wd[i]})
-        top.append(None if c is None else wd[i])
+        inside = v in chat
+        deep.append({cof[v]: wd[i]} if inside else {})
+        top.append(wd[i] if inside else None)
     worst_same = worst = 0.0
     for v in reversed(order[1:]):
         b = top[v]

@@ -8,11 +8,12 @@ compressed cluster hierarchies identify, from the two endpoint labels alone,
 a tree that approximately preserves the pair's distance.
 
 Both halves are built in time linear in the output. A tree's routing state is
-its DFS as flat per-vertex lists, with all children in stamp order in one
-list; a vertex's table is read from these lists, its children and sibling
-windows being two index ranges into the children list. Each simulated
-route is checked against the tree distance from the state's root-path
-weights. Hierarchy copies share their base partition and differ only in
+its DFS as flat per-vertex lists, read off the tree's rooted form in the
+cover's oracle stack, with all children in stamp order in one list; a
+vertex's table is read from these lists, its children and sibling windows
+being two index ranges into the children list. Each simulated route is
+checked against the tree distance that the tree's oracle view reports.
+Hierarchy copies share their base partition and differ only in
 their pair assignments, so the compressed subhierarchy of each (base
 hierarchy, top level) is built once as a template: tree shape, leaf stamps,
 depths, heavy children and every vertex's light steps. A copy then clones
@@ -31,7 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import TOL, WeightedGraph, greedy_spanner, leq, root_tree
+from .graphs import TOL, WeightedGraph, greedy_spanner, leq
+from .oracle import TreeOracle
 
 
 class RoutingError(AssertionError):
@@ -103,15 +105,15 @@ class TreeRoutingState:
     """One tree's DFS as flat per-vertex lists, from which every table is
     read: a vertex's own interval ``(tstamp, hi)``, its port toward its
     parent, its parent's interval, and two windows of at most beta entries
-    of ``kids``, which lists each vertex's children in stamp order."""
+    of ``kids``, which lists each vertex's children in stamp order. ``tree``
+    is the tree's view of the oracle stack that the lists were read from."""
 
-    root: int
+    tree: TreeOracle
     beta: int
     tstamp: list[int]
     hi: list[int]  # largest stamp in the subtree
     parent: list[int]  # -1 at the root
     up_port: list[int]  # port toward the parent, -1 at the root
-    wd: list[float]  # root-path weight sum over the spanner's weights
     kids: list[int]  # children of u are kids[kid_start[u] : kid_start[u + 1]]
     kid_start: list[int]
     kid_port: list[int]  # the parent's port toward kids[i]
@@ -132,30 +134,18 @@ class TreeRoutingState:
 
 
 def build_tree_routing(
-    tree,
-    spanner: WeightedGraph,
-    ports: PortAssignment,
-    epsilon: float,
-    beta: Optional[int] = None,
+    tree: TreeOracle, ports: PortAssignment, beta: int
 ) -> TreeRoutingState:
-    """DFS-interval routing state for one cover tree, read from its
-    ``graphs.root_tree`` walk (minimum-weight edge first), in time linear in
-    n plus two sorts: each vertex's tree edges, and the children by parent."""
-    n = spanner.n
-    if beta is None:
-        beta = routing_beta(measure_alpha(spanner), epsilon)
-
-    edges = []
-    for u, v in tree.edges:
-        try:
-            edges.append((u, v, spanner.weight(u, v)))
-        except KeyError:
-            raise RoutingError(f"tree edge ({u},{v}) not in the spanner") from None
-    root = tree.root
-    preorder, parent, wd = root_tree(n, edges, root)
-    tstamp = [0] * n
-    for i, u in enumerate(preorder):
-        tstamp[u] = i
+    """DFS-interval routing state for one cover tree, read from the tree's
+    rooted form in the oracle stack (``graphs.root_tree``'s walk, minimum-
+    weight edge first), in time linear in n plus two sorts: the stamps into
+    preorder, and the children by parent."""
+    index, t = tree._index, tree._t
+    first = index.first[:, t]
+    tstamp = first.tolist()
+    parent = index.parent[t].tolist()
+    n = len(parent)
+    preorder = np.argsort(first).tolist()  # first is a permutation of range(n)
 
     # subtree intervals: max descendant timestamp, children before parents
     hi = tstamp[:]
@@ -172,6 +162,7 @@ def build_tree_routing(
     # root-path weight of the last child seen under each vertex: child
     # (stamp) order must agree with nondecreasing edge weight, and siblings
     # add their edge weights to the same parent sum
+    wd = index.wdepth[:, t].tolist()
     last_wd = [-math.inf] * n
     for i, c in enumerate(kids):
         p = parent[c]
@@ -185,7 +176,7 @@ def build_tree_routing(
     kid_port = [port[(parent[c], c)] for c in kids]
     up_port = [port[(u, p)] if p != -1 else -1 for u, p in enumerate(parent)]
     return TreeRoutingState(
-        root, beta, tstamp, hi, parent, up_port, wd, kids, kid_start, kid_port, pos
+        tree, beta, tstamp, hi, parent, up_port, kids, kid_start, kid_port, pos
     )
 
 
@@ -585,10 +576,7 @@ def build_routing_scheme(
     ports = assign_ports(g, seed)
     alpha = measure_alpha(spanner)
     beta = routing_beta(alpha, epsilon)
-    states = [
-        build_tree_routing(t, spanner, ports, epsilon, beta=beta)
-        for t in cover.trees
-    ]
+    states = [build_tree_routing(t, ports, beta) for t in cover.tree_oracles(g)]
     labels, subs = build_selection_labels(cover.hpf, cover)
     return RoutingScheme(
         g, spanner, cover, ports, states, labels, subs, epsilon, alpha, beta
@@ -622,13 +610,8 @@ def simulate_route(
         cur = nxt
     trace = RouteTrace(verts, out_ports, weight, len(out_ports), done)
     if done:
-        # the tree distance, independently of the walk: climb from s to the
-        # lowest ancestor whose interval holds t
-        tstamp, hi, wd = state.tstamp, state.hi, state.wd
-        a = s
-        while not tstamp[a] <= dest_t <= hi[a]:
-            a = state.parent[a]
-        dt = wd[s] + wd[t] - 2.0 * wd[a]
+        # the tree distance, independently of the walk
+        dt = state.tree.dist(s, t)
         assert leq(weight, (1.0 + scheme.epsilon) * dt), (
             f"route weight {weight} exceeds (1+eps) * {dt}"
         )

@@ -295,3 +295,42 @@ def test_oracle_tree_edge_not_integers(tmp_path, capsys, grid4_file):
     assert rc == 2
     assert "error: cover tree 1: edge [0.0, 1.0] is not a pair of integer vertex ids" in err
     assert "Traceback" not in err
+
+
+def test_cover_self_pairs_only(tmp_path, grid4_file):
+    # a pairs file with no pair u != v leaves nothing to measure: stretch
+    # reads 1.0, as route --stats does with no pair routed
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("3 3\n")
+    stats = tmp_path / "stats.json"
+    rc = main(["cover", "--graph", grid4_file, "--pairs", str(pairs), "--stats", str(stats)])
+    assert rc == 0
+    doc = json.loads(stats.read_text())
+    assert doc["max_stretch"] == doc["mean_stretch"] == 1.0
+
+
+@pytest.fixture()
+def one_vertex_file(tmp_path):
+    p = tmp_path / "one.txt"
+    p.write_text("1 0\n")
+    return str(p)
+
+
+def test_cover_one_vertex(tmp_path, one_vertex_file):
+    cov, stats = tmp_path / "cover.json", tmp_path / "stats.json"
+    rc = main(["cover", "--graph", one_vertex_file, "--out", str(cov), "--stats", str(stats)])
+    assert rc == 0
+    doc = json.loads(stats.read_text())
+    assert doc["num_trees"] == 1
+    assert doc["max_stretch"] == doc["mean_stretch"] == 1.0
+    assert doc["individual_lightness"] == doc["collective_lightness"] == 1.0
+
+
+def test_verify_one_vertex(tmp_path, one_vertex_file):
+    cov, rep = tmp_path / "cover.json", tmp_path / "verify.json"
+    main(["cover", "--graph", one_vertex_file, "--out", str(cov)])
+    rc = main(["verify", "--graph", one_vertex_file, "--cover", str(cov), "--stats", str(rep)])
+    assert rc == 0
+    doc = json.loads(rep.read_text())
+    assert all(doc["families"].values())
+    assert doc["max_stretch"] == 1.0

@@ -14,7 +14,6 @@ from spantreecover.preservable import (
     _sketch_walk,
     build_preservable_set,
     build_sketch_graph,
-    member_clusters,
     verify_preservable_lemma,
     verify_preservable_set,
 )
@@ -178,7 +177,7 @@ def reference_lemma(g, sketch, pset, mu_i, epsilon, theory_mode=False, dists=Non
     vertex). Checks nothing."""
     hier, pair = pset.hier, pset.pair
     chat = hier.clusters[pset.cluster_id].members
-    cof = member_clusters(hier, pset.cluster_id, pset.sublevel)
+    cof = hier.vmap[min(pset.sublevel, hier.i_max)]
     index = {v: i for i, v in enumerate(sketch.vertices)}
     edges = sketch.real_edges + sketch.fake_edges + sketch.inter_cluster
     tor = TreeOracle(len(index), [(index[u], index[v], w) for u, v, w in edges], 0)
@@ -244,7 +243,8 @@ def grid5_top():
     hier = build_hpf(g, MU, 24.0, 1.0).hierarchies[0]
     ell = offset_ell(MU, EPS)
     top, level = hier.levels[hier.i_max][0], hier.i_max
-    subs = sorted(set(member_clusters(hier, top, max(level - ell, 0)).values()))
+    cof = hier.vmap[min(max(level - ell, 0), hier.i_max)]
+    subs = sorted({cof[v] for v in hier.clusters[top].members})
     return g, hier, top, level, ell, (subs[0], subs[-1])
 
 

@@ -1,15 +1,16 @@
 import hashlib
 import math
+import sys
 
 import pytest
 
 from conftest import unit_path
-from spantreecover.cover import SpanningTree
+from spantreecover import graphs
+from spantreecover.cover import CoverConfig, SpanningTree
 from spantreecover.graphs import WeightedGraph, apsp, generate, greedy_spanner
-from spantreecover.oracle import TreeOracle
+from spantreecover.oracle import TreeOracle, build_oracle
 from spantreecover.routing import (
     RouteTrace,
-    RoutingError,
     RoutingScheme,
     SelectionError,
     _lca_record,
@@ -107,18 +108,25 @@ def table(state, u):
     )
 
 
+def view(g, tree):
+    """The tree's oracle view over g, as ``cover.tree_oracles`` makes it."""
+    return TreeOracle(g.n, tree.edges, tree.root, g)
+
+
 def path_state(n, beta=None):
     g = unit_path(n)
     tree = SpanningTree([(i, i + 1) for i in range(n - 1)], 0, (0, 0))
     ports = assign_ports(g, seed=3)
-    return g, ports, build_tree_routing(tree, g, ports, EPS, beta=beta)
+    if beta is None:
+        beta = routing_beta(measure_alpha(g), EPS)
+    return g, ports, build_tree_routing(view(g, tree), ports, beta)
 
 
 def test_tree_edge_outside_spanner_rejected():
     g = unit_path(4)
     tree = SpanningTree([(0, 1), (1, 2), (1, 3)], 0, (0, 0))
-    with pytest.raises(RoutingError, match=r"tree edge \(1,3\) not in the spanner"):
-        build_tree_routing(tree, g, assign_ports(g, seed=3), EPS, beta=2)
+    with pytest.raises(ValueError, match=r"edge \(1, 3\) is not in the graph"):
+        build_tree_routing(view(g, tree), assign_ports(g, seed=3), 2)
 
 
 def test_star_intervals_and_sibling_windows():
@@ -128,7 +136,7 @@ def test_star_intervals_and_sibling_windows():
     g = star([float(i + 1) for i in range(5)])
     tree = SpanningTree(sorted((0, i) for i in range(1, g.n)), 0, (0, 0))
     ports = assign_ports(g, seed=5)
-    state = build_tree_routing(tree, g, ports, EPS, beta=beta)
+    state = build_tree_routing(view(g, tree), ports, beta)
     assert state.tstamp == list(range(6))
     assert table(state, 0)[0] == (0, 5)
     for c in range(1, 6):
@@ -151,7 +159,7 @@ def test_star_item2_keeps_smallest_timestamps():
     g = star([float(i + 1) for i in range(2 * beta + 3)])
     tree = SpanningTree(sorted((0, i) for i in range(1, g.n)), 0, (0, 0))
     ports = assign_ports(g, seed=5)
-    state = build_tree_routing(tree, g, ports, EPS, beta=beta)
+    state = build_tree_routing(view(g, tree), ports, beta)
     children = table(state, 0)[2]
     assert len(children) == beta
     # min-weight-first DFS: child timestamps follow the weight order, so the
@@ -202,7 +210,7 @@ def test_decision_outside_parent_goes_up():
     )
     tree = SpanningTree(sorted((u, v) for u, v, _ in g.edges), 0, (0, 0))
     ports = assign_ports(g, seed=9)
-    state = build_tree_routing(tree, g, ports, EPS, beta=2)
+    state = build_tree_routing(view(g, tree), ports, 2)
     # leaf 2 under child 1; dest in the other branch
     kind, port, header = routing_decision(state, 2, state.tstamp[4], None)
     assert kind == "forward"
@@ -215,7 +223,7 @@ def test_decision_outside_parent_goes_up():
 
 def manual_scheme(g, tree, beta, epsilon=0.5):
     ports = assign_ports(g, seed=11)
-    state = build_tree_routing(tree, g, ports, epsilon, beta=beta)
+    state = build_tree_routing(view(g, tree), ports, beta)
     return RoutingScheme(g, g, None, ports, [state], [], [], epsilon, 0, beta)
 
 
@@ -255,8 +263,9 @@ def test_simulate_wide_star_backtracks():
 
 
 def test_tree_distance_matches_tree_oracle(grid8_scheme):
-    # the root-path sums of the routing state give the spanner tree distance
-    # bitwise as the LCA oracle does: both add the same weights root-down
+    # the interval climb from s stops at the LCA of s and t in the spanner
+    # tree, and the state's view over G gives that tree's distance bitwise:
+    # the tree edges weigh the same in G and in the spanner
     state = grid8_scheme.states[0]
     tree = grid8_scheme.cover.trees[0]
     spanner = grid8_scheme.spanner
@@ -266,8 +275,8 @@ def test_tree_distance_matches_tree_oracle(grid8_scheme):
             a = s
             while not state.tstamp[a] <= state.tstamp[t] <= state.hi[a]:
                 a = state.parent[a]
-            d = state.wd[s] + state.wd[t] - 2.0 * state.wd[a]
-            assert d == oracle.dist(s, t), (s, t)
+            assert a == oracle.lca(s, t), (s, t)
+            assert state.tree.dist(s, t) == oracle.dist(s, t), (s, t)
 
 
 def test_simulate_route_checks_tree_bound():
@@ -277,9 +286,29 @@ def test_simulate_route_checks_tree_bound():
     tree = SpanningTree([(i, i + 1) for i in range(5)], 0, (0, 0))
     scheme = manual_scheme(g, tree, beta=4)
     assert simulate_route(scheme, 0, 2, 5).done
-    scheme.states[0].wd[5] = 2.5
+    scheme.states[0].tree._index.wdepth[5, 0] = 2.5
     with pytest.raises(AssertionError, match="exceeds"):
         simulate_route(scheme, 0, 2, 5)
+
+
+def test_scheme_and_oracle_root_each_tree_once(monkeypatch):
+    # the routing states read the cover's oracle stack over G, and the
+    # oracle over the same G reuses it: one root_tree walk per cover tree
+    calls = []
+    original = graphs.root_tree
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spantreecover") and getattr(module, "root_tree", None) is original:
+            monkeypatch.setattr(module, "root_tree", counted)
+    g = generate("grid", {"k": 8})
+    scheme = build_routing_scheme(g, config=CoverConfig(check=False))
+    build_oracle(g, scheme.cover)
+    assert len(scheme.cover.trees) == 116
+    assert len(calls) == len(scheme.cover.trees)
 
 
 def test_trace_edges_are_real(grid8, grid8_scheme):
