@@ -8,6 +8,7 @@ Run: python3 demos/demo_routing.py
 """
 
 from spantreecover import (
+    CoverConfig,
     build_routing_scheme,
     dijkstra,
     generate,
@@ -18,7 +19,7 @@ from spantreecover import (
 g = generate("random_geometric", {"n": 64}, seed=1)
 print(f"input: random geometric graph, {g.n} vertices, {g.m} edges")
 
-scheme = build_routing_scheme(g, epsilon=0.25)
+scheme = build_routing_scheme(g, CoverConfig(epsilon=0.25))
 sizes = measure_sizes(scheme)
 print(
     f"scheme: {sizes['num_trees']} trees, alpha={sizes['alpha']}, "

@@ -191,7 +191,7 @@ def _assert_same_trees(a, b) -> None:
 def cmd_route(args) -> int:
     g = load_graph(args.graph)
     cfg = _config_from_args(args)
-    scheme = build_routing_scheme(g, cfg.epsilon, config=cfg, seed=args.seed)
+    scheme = build_routing_scheme(g, cfg, seed=args.seed)
     pairs = _parse_pairs(args.pairs, g, args.seed)
     d = apsp(g)
     rows = []

@@ -349,11 +349,12 @@ def cover_stretch(g: WeightedGraph, cover: TreeCover, pairs) -> dict:
 
 def pair_guarantee_report(g: WeightedGraph, cover: TreeCover) -> dict:
     """Check the additive guarantee for every demanded pair's assignment:
-    min-tree distance <= in-cluster distance + 44 eps mu^i (scaled units)."""
+    min-tree distance <= in-cluster distance + 44 eps mu^i (scaled units).
+    ``worst_gap`` is None when no pair was checked."""
     pp = cover.hpf
     oracles = cover.tree_oracles(g)
     scale = cover.scale
-    worst = -math.inf
+    worst = None  # no pair checked
     failures = []
     recs = pp.pair_records
     if len(recs):

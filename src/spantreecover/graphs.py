@@ -144,8 +144,10 @@ def validate_graph(n: int, edges: list[tuple[int, int, float]]) -> WeightedGraph
             raise MalformedLineError(f"vertex out of range in edge ({u}, {v})")
         if u == v:
             raise MalformedLineError(f"self-loop at vertex {u}")
-        if w <= 0:
-            raise NonpositiveWeightError(f"edge ({u}, {v}) has weight {w} <= 0")
+        if not 0 < w < math.inf:  # nan fails too
+            raise NonpositiveWeightError(
+                f"edge ({u}, {v}) has weight {w}; weights must be finite and positive"
+            )
         a, b = (u, v) if u < v else (v, u)
         if (a, b) in seen:
             raise DuplicateEdgeError(f"duplicate edge ({a}, {b})")
@@ -182,6 +184,8 @@ def load_graph(path: str) -> WeightedGraph:
         n, m = int(rows[0][0]), int(rows[0][1])
     except ValueError as exc:
         raise MalformedLineError(f"bad header: {' '.join(rows[0])!r}") from exc
+    if n < 0:
+        raise MalformedLineError(f"bad header: {' '.join(rows[0])!r} has a negative vertex count")
     if len(rows) - 1 != m:
         raise MalformedLineError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges: list[tuple[int, int, float]] = []

@@ -3,18 +3,20 @@ trees estimates, and path reporting by parent climbs in the argmin tree.
 
 ``stack_trees`` roots each of T trees once with ``graphs.root_tree`` and
 writes it straight into the stack, the only copy of its data: preorder
-positions, depths and root-path sums as (n, T) arrays, so that a vertex's
-values over all trees are one contiguous row; parents as (T, n) int32; and
-sparse tables as (T, L, n) int32 with L = max(1, bit_length(n - 1)), the
-fewest levels that cover a span of n - 1. Entry [t, k, i] is the shallowest
-parent of tree t's vertices at preorder positions i .. i + 2^k - 1. Two
-distinct vertices at positions a < b meet at the shallowest parent over
-positions a + 1 .. b, so an LCA is the shallower of two table reads; the
-shallowest vertices of a contiguous preorder range are children of one
-vertex, so ties cannot change the answer. A ``TreeOracle`` is a view of one
+positions and root-path sums as (n, T) arrays, so that a vertex's values over
+all trees are one contiguous row; the preorder itself (``order``, position to
+vertex) and parents as (T, n) int32; and sparse tables as (T, L, n) int32
+with L = max(1, bit_length(n - 1)), the fewest levels that cover a span of
+n - 1. Entry [t, k, i] is the smallest parent position of tree t's vertices
+at preorder positions i .. i + 2^k - 1 (Bender & Farach-Colton's table over
+positions, so no depths are kept). Two distinct vertices at positions a < b
+meet at the vertex whose position is the smallest parent position over
+a + 1 .. b: each vertex there lies below their LCA w, so its parent sits at
+w or later, and w's child toward the second vertex lies in the range. So an
+LCA is the minimum of two table reads. A ``TreeOracle`` is a view of one
 tree's slices, and ``query_distance`` answers with one O(T) numpy pass.
-The routing states read each tree's stamps, parents and root-path sums off
-the same stack.
+The routing states read each tree's preorder, stamps, parents and root-path
+sums off the same stack.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class TreeOracle:
             a, b = b, a
         k = (b - a).bit_length() - 1
         i, j = s.table.item(t, k, a + 1), s.table.item(t, k, b - (1 << k) + 1)
-        return i if s.depth.item(i, t) <= s.depth.item(j, t) else j
+        return s.order.item(t, min(i, j))
 
     def dist(self, u: int, v: int) -> float:
         wd, t = self._index.wdepth.item, self._t
@@ -71,7 +73,7 @@ class TreeOracle:
         k = np.frexp(hi - lo)[1] - 1
         i = s.table[t, k, lo + 1]
         j = s.table[t, k, hi - np.left_shift(1, k) + 1]
-        lca = np.where(same, us, np.where(s.depth[i, t] <= s.depth[j, t], i, j))
+        lca = np.where(same, us, s.order[t, np.minimum(i, j)])
         wd = s.wdepth[:, t]
         return wd[us] + wd[vs] - 2.0 * wd[lca]
 
@@ -94,7 +96,7 @@ class OracleIndex:
 
     first: np.ndarray = field(repr=False)
     table: np.ndarray = field(repr=False)
-    depth: np.ndarray = field(repr=False)
+    order: np.ndarray = field(repr=False)
     wdepth: np.ndarray = field(repr=False)
     parent: np.ndarray = field(repr=False)
     trees_touched: int = 0  # query-cost instrumentation
@@ -102,15 +104,17 @@ class OracleIndex:
 
     def __post_init__(self) -> None:
         t, levels, n = self.table.shape
-        # per tree, the flat offset of its table; per span hi - lo > 0, the
-        # offset of level k = floor(log2(hi - lo)) plus one and 2^k, so that
-        # the two reads are at lo + 1 and hi - 2^k + 1
+        # per tree, the flat offsets of its table and of its row of order;
+        # per span hi - lo > 0, the offset of level k = floor(log2(hi - lo))
+        # plus one and 2^k, so that the two reads are at lo + 1 and
+        # hi - 2^k + 1
         log = np.frexp(np.arange(n))[1] - 1
         log[0] = 0  # span 0 is u == v, answered before any read
-        self._tree_off = np.arange(t, dtype=np.int64) * (levels * n)
+        self._col = np.arange(t, dtype=np.int64)
+        self._tree_off = self._col * (levels * n)
+        self._order_off = self._col * n
         self._level_off = log * n + 1
         self._back = 1 << log
-        self._col = np.arange(t, dtype=np.int64)
         if self.trees is None:
             self.trees = [TreeOracle.__new__(TreeOracle) for _ in range(t)]
             for j, tree in enumerate(self.trees):
@@ -128,7 +132,7 @@ def stack_trees(
     cycle."""
     t = len(trees)
     first = np.empty((n, t), dtype=np.int32)
-    depth = np.empty((n, t), dtype=np.int32)
+    order = np.empty((t, n), dtype=np.int32)
     wdepth = np.empty((n, t))
     parent = np.empty((t, n), dtype=np.int32)
     table = np.empty((t, max(1, (n - 1).bit_length()), n), dtype=np.int32)
@@ -149,27 +153,20 @@ def stack_trees(
                     f"cover tree {j}: edge ({u}, {v}) is not in the graph"
                 ) from None
         try:
-            order, up, wd = root_tree(n, edges, root)
+            order[j], parent[j], wdepth[:, j] = root_tree(n, edges, root)
         except AssertionError as exc:  # n - 1 edges that miss a vertex
             raise ValueError(f"cover tree {j} has a cycle: {exc}") from None
-        d = [0] * n
-        for v in order[1:]:
-            d[v] = d[up[v]] + 1
-        pre = np.asarray(order)
-        first[pre, j] = np.arange(n)
-        depth[:, j], wdepth[:, j], parent[j] = d, wd, up
-        table[j, 0] = parent[j, pre]
+        first[order[j], j] = np.arange(n)
+        # the root's parent -1 reads first[-1]: a valid position, which no
+        # LCA uses
+        table[j, 0] = first[parent[j, order[j]], j]
     # level k from level k - 1 for all trees at once; the tail past
     # n - 2^k, and position 0, the root's, are never read
-    col = np.arange(t, dtype=np.int32)[:, None]
-    flat = depth.reshape(-1)
     for k in range(1, table.shape[1]):
         prev, half = table[:, k - 1], 1 << (k - 1)
         width = n - (1 << k) + 1
-        left, right = prev[:, :width], prev[:, half : half + width]
-        shallower = flat[right * t + col] < flat[left * t + col]
-        table[:, k, :width] = np.where(shallower, right, left)
-    return OracleIndex(first, table, depth, wdepth, parent)
+        np.minimum(prev[:, :width], prev[:, half : half + width], out=table[:, k, :width])
+    return OracleIndex(first, table, order, wdepth, parent)
 
 
 def build_oracle(g: WeightedGraph, cover) -> OracleIndex:
@@ -198,15 +195,14 @@ def query_distance(oracle: OracleIndex, u: int, v: int) -> tuple[float, int]:
     span = hi - lo
     row = oracle._tree_off + oracle._level_off[span]
     table = oracle.table.reshape(-1)
-    # flat indices x*T + tree in the (n, T) arrays of the two candidates for
-    # each tree's LCA; x*T stays below 2^31 in int32, since the (T, L, n)
-    # table that fits in memory has at least n*T entries
-    i = table[row + lo] * t + oracle._col
-    j = table[row + hi - oracle._back[span]] * t + oracle._col
-    depth = oracle.depth.reshape(-1)
-    at_lca = np.where(depth[i] <= depth[j], i, j)
+    # per tree, the LCA's position is the smaller of two table reads; its
+    # vertex x reads wdepth at flat index x*T + tree, and x*T stays below
+    # 2^31 in int32, since the (T, L, n) table that fits in memory has at
+    # least n*T entries
+    p = np.minimum(table[row + lo], table[row + hi - oracle._back[span]])
+    lca = oracle.order.reshape(-1)[oracle._order_off + p]
     wd = oracle.wdepth
-    d = wd[u] + wd[v] - 2.0 * wd.reshape(-1)[at_lca]
+    d = wd[u] + wd[v] - 2.0 * wd.reshape(-1)[lca * t + oracle._col]
     idx = int(np.argmin(d))
     return float(d[idx]), idx
 

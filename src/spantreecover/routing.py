@@ -9,14 +9,15 @@ a tree that approximately preserves the pair's distance.
 
 Both halves are built in time linear in the output. A tree's routing state is
 its DFS as flat per-vertex lists, read off the tree's rooted form in the
-cover's oracle stack, with all children in stamp order in one list; a
-vertex's table is read from these lists, its children and sibling windows
-being two index ranges into the children list. Each simulated route is
-checked against the tree distance that the tree's oracle view reports.
-Hierarchy copies share their base partition and differ only in
-their pair assignments, so the compressed subhierarchy of each (base
-hierarchy, top level) is built once as a template: tree shape, leaf stamps,
-depths, heavy children and every vertex's light steps. A copy then clones
+cover's oracle stack (its preorder, stamps, parents and root-path sums), with
+all children in stamp order in one list; a vertex's table is read from these
+lists, its children and sibling windows being two index ranges into the
+children list. Each simulated route is checked against the tree distance
+that the tree's oracle view reports. Hierarchy copies share their base
+partition and differ only in their pair assignments, so the compressed
+subhierarchy of each (base hierarchy, top level) is built once as a
+template, whose one preorder walk gives the leaf stamps, intervals, depths,
+heavy children and every vertex's light steps. A copy then clones
 only its paired nodes and their ancestors, and rebuilds apex lists only for
 the vertices below a light child of a paired node; every other vertex keeps
 the template's list. Apex records are frozen and cached per (apex, child,
@@ -138,14 +139,13 @@ def build_tree_routing(
 ) -> TreeRoutingState:
     """DFS-interval routing state for one cover tree, read from the tree's
     rooted form in the oracle stack (``graphs.root_tree``'s walk, minimum-
-    weight edge first), in time linear in n plus two sorts: the stamps into
-    preorder, and the children by parent."""
+    weight edge first), in time linear in n plus one sort of the children
+    by parent."""
     index, t = tree._index, tree._t
-    first = index.first[:, t]
-    tstamp = first.tolist()
+    tstamp = index.first[:, t].tolist()
     parent = index.parent[t].tolist()
     n = len(parent)
-    preorder = np.argsort(first).tolist()  # first is a permutation of range(n)
+    preorder = index.order[t].tolist()
 
     # subtree intervals: max descendant timestamp, children before parents
     hi = tstamp[:]
@@ -271,34 +271,6 @@ class SelectionLabel:
     apices: list[list[ApexRecord]]
 
 
-def _finalize(root: SubNode) -> None:
-    """Leaf timestamps, intervals, depths, and heavy children in one pass."""
-    clock = 0
-    stack: list[tuple[SubNode, int, bool]] = [(root, 0, False)]
-    while stack:
-        node, depth, seen = stack.pop()
-        if seen:
-            node.tmax = max(
-                (k.tmax for k in node.children), default=node.tmin
-            )
-            weights = [len(k.members) for k in node.children]
-            node.heavy = -1
-            for i, w in enumerate(weights):
-                if 2 * w > len(node.members):
-                    node.heavy = i
-                    break
-            continue
-        node.depth = depth
-        if node.leaf is not None:
-            node.tmin = node.tmax = clock
-            clock += 1
-            continue
-        node.tmin = clock  # equals the leftmost descendant leaf's stamp
-        stack.append((node, depth, True))
-        for k in reversed(node.children):
-            stack.append((k, depth + 1, False))
-
-
 class _Template:
     """The compressed subhierarchy of one (base hierarchy, top level) with no
     pairs assigned, and what each copy of that base needs to label its tree.
@@ -333,32 +305,45 @@ class _Template:
             return node
 
         root = build(top_level, hier.levels[hier.i_max][0])
-        _finalize(root)
 
-        # internal nodes in preorder, each with its parent and its rank among
-        # the parent's children; per vertex, its leaf stamp and the light
-        # steps (apex node, child index) from the root down
+        # one preorder walk: internal nodes in preorder, each with its parent,
+        # its rank among the parent's children, its depth and its heavy child
+        # (from member counts, known before the children are visited); leaves
+        # stamped in visit order; per vertex, its leaf stamp and the light
+        # steps (apex node, child index) from the root down. A node's interval
+        # opens at the next stamp and closes when its marker, a None trail,
+        # pops after its subtree.
         nodes: list[SubNode] = []
         parent: list[int] = []
         rank: list[int] = []
-        leaves = [-1] * n  # vertex by leaf stamp
+        leaves: list[int] = []  # vertex by leaf stamp
         stamps = [-1] * n
         trails: list[tuple[tuple[int, int], ...]] = [()] * n
-        stack: list[tuple[SubNode, int, int, tuple]] = [(root, -1, 0, ())]
+        stack: list[tuple[SubNode, int, int, int, Optional[tuple]]] = [(root, -1, 0, 0, ())]
         while stack:
-            node, p, r, trail = stack.pop()
+            node, p, r, depth, trail = stack.pop()
+            if trail is None:
+                node.tmax = len(leaves) - 1
+                continue
+            node.depth, node.tmin = depth, len(leaves)
             if node.leaf is not None:
+                node.tmax = node.tmin
                 stamps[node.leaf] = node.tmin
-                leaves[node.tmin] = node.leaf
+                leaves.append(node.leaf)
                 trails[node.leaf] = trail
                 continue
             k = len(nodes)
             nodes.append(node)
             parent.append(p)
             rank.append(r)
+            size = len(node.members)
+            node.heavy = next(
+                (i for i, kid in enumerate(node.children) if 2 * len(kid.members) > size), -1
+            )
+            stack.append((node, p, r, depth, None))
             for i in range(len(node.children) - 1, -1, -1):
                 step = trail if i == node.heavy else trail + ((k, i),)
-                stack.append((node.children[i], k, i, step))
+                stack.append((node.children[i], k, i, depth + 1, step))
         for v in range(n):
             assert stamps[v] >= 0, f"vertex {v} missing from a subhierarchy"
 
@@ -565,13 +550,15 @@ class RoutingScheme:
     beta: int
 
 
-def build_routing_scheme(
-    g: WeightedGraph, epsilon: float = 0.25, config=None, seed: int = 42
-) -> RoutingScheme:
+def build_routing_scheme(g: WeightedGraph, config=None, seed: int = 42) -> RoutingScheme:
+    """The scheme over a cover of g's greedy spanner; the spanner, the cover,
+    beta and the route bound all use ``config``'s epsilon (a default
+    ``CoverConfig()`` when none is given)."""
     from .cover import CoverConfig, span_tree_cover
 
+    cfg = config if config is not None else CoverConfig()
+    epsilon = cfg.epsilon
     spanner = greedy_spanner(g, epsilon)
-    cfg = config if config is not None else CoverConfig(epsilon=epsilon)
     cover = span_tree_cover(spanner, cfg)
     ports = assign_ports(g, seed)
     alpha = measure_alpha(spanner)

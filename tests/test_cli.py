@@ -331,6 +331,19 @@ def test_verify_one_vertex(tmp_path, one_vertex_file):
     main(["cover", "--graph", one_vertex_file, "--out", str(cov)])
     rc = main(["verify", "--graph", one_vertex_file, "--cover", str(cov), "--stats", str(rep)])
     assert rc == 0
-    doc = json.loads(rep.read_text())
+    # strict JSON: no -Infinity or NaN constant for the gap of no pair
+    doc = json.loads(rep.read_text(), parse_constant=_reject_constant)
     assert all(doc["families"].values())
     assert doc["max_stretch"] == 1.0
+    assert doc["worst_pair_gap"] is None
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_cover_rejects_infinite_weight(tmp_path, capsys):
+    p = tmp_path / "inf.txt"
+    p.write_text("2 1\n0 1 inf\n")
+    assert main(["cover", "--graph", str(p)]) == 2
+    assert "error:" in capsys.readouterr().err

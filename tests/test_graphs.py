@@ -38,9 +38,15 @@ def test_load_path_graph(tmp_path):
     assert g.total_weight() == pytest.approx(3.0)
 
 
-def test_load_rejects_nonpositive_weight(tmp_path):
-    with pytest.raises(NonpositiveWeightError):
-        load_graph(write_graph(tmp_path, "2 1\n0 1 -1\n"))
+@pytest.mark.parametrize("w", ["-1", "0", "nan", "inf"])
+def test_load_rejects_nonpositive_weight(tmp_path, w):
+    with pytest.raises(NonpositiveWeightError, match="finite and positive"):
+        load_graph(write_graph(tmp_path, f"2 1\n0 1 {w}\n"))
+
+
+def test_load_rejects_negative_vertex_count(tmp_path):
+    with pytest.raises(MalformedLineError, match="negative vertex count"):
+        load_graph(write_graph(tmp_path, "-2 0\n"))
 
 
 def test_load_rejects_disconnected(tmp_path):

@@ -265,11 +265,25 @@ def test_tree_oracles_are_views_of_the_stack(grid8, grid8_cover):
     oracle = build_oracle(grid8, grid8_cover)
     held = [getattr(t, name) for t in oracle.trees for name in TreeOracle.__slots__]
     assert not any(isinstance(x, (list, np.ndarray)) for x in held)
-    names = ("first", "table", "depth", "wdepth", "parent")
+    names = ("first", "table", "order", "wdepth", "parent")
     for tree in oracle.trees:
         for name in names:
             read = getattr(tree._index, name)
             assert np.shares_memory(read, getattr(oracle, name)), name
+
+
+def test_table_holds_parent_positions(grid8, grid8_cover):
+    # the stack keeps each tree's preorder and, at table level 0, each
+    # position's parent position; it keeps no depths
+    oracle = build_oracle(grid8, grid8_cover)
+    n = grid8.n
+    for t in range(len(grid8_cover.trees)):
+        order, first = oracle.order[t], oracle.first[:, t]
+        assert np.array_equal(order[first], np.arange(n))
+        assert np.array_equal(first[order], np.arange(n))
+        parents = oracle.parent[t, order[1:]]
+        assert np.array_equal(oracle.table[t, 0, 1:], first[parents])
+    assert not hasattr(oracle, "depth")
 
 
 def test_each_tree_rooted_once_per_graph(grid8, grid8_cover, monkeypatch):

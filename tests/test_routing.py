@@ -311,6 +311,15 @@ def test_scheme_and_oracle_root_each_tree_once(monkeypatch):
     assert len(calls) == len(scheme.cover.trees)
 
 
+def test_scheme_epsilon_follows_config():
+    # the spanner, beta and the route bound use the cover's epsilon
+    scheme = build_routing_scheme(
+        generate("grid", {"k": 6}), config=CoverConfig(epsilon=0.5, check=False)
+    )
+    assert scheme.epsilon == scheme.cover.params["epsilon"] == 0.5
+    assert scheme.beta == routing_beta(scheme.alpha, 0.5)
+
+
 def test_trace_edges_are_real(grid8, grid8_scheme):
     trace, _ = route_end_to_end(grid8_scheme, 0, 63)
     w = 0.0
