@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
@@ -29,6 +30,7 @@ from .graphs import (
 from .hpf import HPFamily, HierarchyCopy, build_hpf, make_pair_preserving
 from .oracle import OracleIndex, TreeOracle, stack_trees
 from .preservable import (
+    PreservableSet,
     build_preservable_set,
     build_sketch_graph,
     verify_preservable_lemma,
@@ -169,9 +171,10 @@ class _Recursion:
     produce identical trees, which is the common case away from the one
     cluster whose pair distinguishes the copies. ``dists`` runs and
     memoizes, by member set, every search inside a cluster that the path
-    systems, their sketches and their checks make: distances, shortest-path
-    trees, pair paths, glue descents, searches towards pi, nearest anchors
-    and path detours.
+    systems make: distances, shortest-path trees, pair paths, glue descents
+    and searches towards pi. The checks read their nearest anchors and path
+    shortcuts off the same blocks. ``checked`` holds the nodes whose path
+    system was checked, so that each is checked once.
     """
 
     g: WeightedGraph
@@ -183,6 +186,30 @@ class _Recursion:
     diagnostics: Optional[dict]
     memo: dict
     dists: ClusterDistances
+    checked: set = field(default_factory=set)
+
+    def check_node(self, pset: PreservableSet, level: int, node: tuple) -> None:
+        """Run the path-system and lemma checks on ``pset``, the path system
+        of ``node`` (base hierarchy, cluster, level, pi, pair), unless that
+        node was checked before: the memo key also carries the pairs below
+        the node, so the same system is rebuilt under several keys."""
+        if node in self.checked:
+            return
+        self.checked.add(node)
+        g, dists = self.g, self.dists
+        mu_i, epsilon = self.mu**level, self.epsilon
+        verify_preservable_set(g, pset, dists=dists)
+        sketch = build_sketch_graph(g, pset, mu_i, epsilon, dists=dists)
+        report = verify_preservable_lemma(
+            g, sketch, pset, mu_i, epsilon, theory_mode=self.theory_mode, dists=dists
+        )
+        diagnostics = self.diagnostics
+        if diagnostics is not None:
+            diagnostics.setdefault("nodes_checked", 0)
+            diagnostics["nodes_checked"] += 1
+            diagnostics["max_diam_ratio"] = max(
+                diagnostics.get("max_diam_ratio", 0.0), report["diam_ratio"]
+            )
 
     def path_codes(self, paths: Iterable[Sequence[int]]) -> list[int]:
         """Codes of the paths' edges; an edge (a, b) is a path too."""
@@ -211,19 +238,7 @@ class _Recursion:
         pair = pair_entry[:2] if pair_entry else None
         pset = build_preservable_set(g, hier, cluster_id, level, self.ell, pi, pair, dists=dists)
         if self.check:
-            mu_i, epsilon = self.mu**level, self.epsilon
-            verify_preservable_set(g, pset, dists=dists)
-            sketch = build_sketch_graph(g, pset, mu_i, epsilon, dists=dists)
-            report = verify_preservable_lemma(
-                g, sketch, pset, mu_i, epsilon, theory_mode=self.theory_mode, dists=dists
-            )
-            diagnostics = self.diagnostics
-            if diagnostics is not None:
-                diagnostics.setdefault("nodes_checked", 0)
-                diagnostics["nodes_checked"] += 1
-                diagnostics["max_diam_ratio"] = max(
-                    diagnostics.get("max_diam_ratio", 0.0), report["diam_ratio"]
-                )
+            self.check_node(pset, level, (copy.base_index, cluster_id, level, tuple(pi), pair))
 
         # the children are the subclusters the paths touch; a singleton
         # subcluster's tree is its touching path, added once per path
@@ -326,19 +341,47 @@ def _best_trees(
     return best, best_idx
 
 
-def cover_stretch(g: WeightedGraph, cover: TreeCover, pairs) -> dict:
+# per pair (us, vs), the best tree distance and index of _best_trees
+BestTrees = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def shared_best_trees(g: WeightedGraph, cover: TreeCover, pairs) -> BestTrees:
+    """``_best_trees`` for the (P, 2) ``pairs`` and the cover's pair
+    records, from one pass over their union. Pass it as ``best`` to
+    ``cover_stats`` and ``pair_guarantee_report`` to make one pass serve
+    both; it raises KeyError for a pair outside that union."""
+    n = g.n
+    recs = cover.hpf.pair_records
+    ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    us, vs = np.concatenate([ends[:, 0], recs.u]), np.concatenate([ends[:, 1], recs.v])
+    codes = np.unique(np.minimum(us, vs) * n + np.maximum(us, vs))
+    # tree distances are symmetric, bit for bit
+    best, best_idx = _best_trees(cover.tree_oracles(g), codes // n, codes % n)
+
+    def lookup(us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        want = np.minimum(us, vs) * n + np.maximum(us, vs)
+        k = np.minimum(codes.searchsorted(want), len(codes) - 1)
+        if (codes[k] != want).any():
+            raise KeyError("pair outside the shared best-tree pass")
+        return best[k], best_idx[k]
+
+    return lookup
+
+
+def cover_stretch(
+    g: WeightedGraph, cover: TreeCover, pairs, best: Optional[BestTrees] = None
+) -> dict:
     """Min-over-trees stretch per pair of the (P, 2) ``pairs`` (or a list
     of pairs), with max/mean summary. Each pair's tree is the smallest
     index attaining the exact minimum, as in ``oracle.query_distance``.
     With no pair u != v, max and mean read 1.0 and the table is empty."""
-    oracles = cover.tree_oracles(g)
     ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     ends = ends[ends[:, 0] != ends[:, 1]]
     if not len(ends):
         return {"max": 1.0, "mean": 1.0, "table": []}
     us, vs = ends.min(axis=1), ends.max(axis=1)
-    best, best_idx = _best_trees(oracles, us, vs)
-    ratios = (best / apsp(g)[us, vs]).tolist()
+    best_d, best_idx = (best or partial(_best_trees, cover.tree_oracles(g)))(us, vs)
+    ratios = (best_d / apsp(g)[us, vs]).tolist()
     table = list(zip(us.tolist(), vs.tolist(), ratios, best_idx.tolist()))
     return {
         "max": max(ratios),
@@ -347,25 +390,26 @@ def cover_stretch(g: WeightedGraph, cover: TreeCover, pairs) -> dict:
     }
 
 
-def pair_guarantee_report(g: WeightedGraph, cover: TreeCover) -> dict:
+def pair_guarantee_report(
+    g: WeightedGraph, cover: TreeCover, best: Optional[BestTrees] = None
+) -> dict:
     """Check the additive guarantee for every demanded pair's assignment:
     min-tree distance <= in-cluster distance + 44 eps mu^i (scaled units).
     ``worst_gap`` is None when no pair was checked."""
     pp = cover.hpf
-    oracles = cover.tree_oracles(g)
     scale = cover.scale
     worst = None  # no pair checked
     failures = []
     recs = pp.pair_records
     if len(recs):
-        best = _best_trees(oracles, recs.u, recs.v)[0] * scale
+        best_d = (best or partial(_best_trees, cover.tree_oracles(g)))(recs.u, recs.v)[0] * scale
         levels, at = np.unique(recs.level, return_inverse=True)
         slack = np.asarray([44.0 * pp.epsilon * pp.mu**i for i in levels.tolist()])
         bound = recs.d_in_cluster + slack[at]
-        gap = best - bound
+        gap = best_d - bound
         worst = float(gap.max())
         for k in np.flatnonzero(gap > TOL).tolist():
-            failures.append((int(recs.u[k]), int(recs.v[k]), float(best[k]), float(bound[k])))
+            failures.append((int(recs.u[k]), int(recs.v[k]), float(best_d[k]), float(bound[k])))
     return {
         "pairs_checked": len(pp.pair_records),
         "unresolved": list(pp.unresolved_pairs),
@@ -430,21 +474,40 @@ def _check_tree(g: WeightedGraph, idx: int, t: SpanningTree) -> None:
 
 
 def save_cover(cover: TreeCover, path: str) -> None:
-    doc = {
-        "version": 1,
-        "params": cover.params,
-        "trees": [
-            {
-                "provenance": list(t.provenance),
-                "root": t.root,
-                "edges": [[u, v] for u, v in t.edges],
-            }
-            for t in cover.trees
-        ],
-    }
+    """Write the cover as JSON: the bytes of ``json.dump(doc, fh,
+    sort_keys=True, indent=1)`` and a newline, for the document with keys
+    params, trees (provenance, root, edges) and version. The tree lists
+    are formatted here, which takes a tenth of json's time on a large
+    cover."""
+
+    def indented(obj, depth: int) -> str:
+        return json.dumps(obj, sort_keys=True, indent=1).replace("\n", "\n" + " " * depth)
+
+    def listed(items: list[str], depth: int) -> str:
+        if not items:
+            return "[]"
+        return "[\n" + ",\n".join(items) + "\n" + " " * depth + "]"
+
+    def tree_doc(t: SpanningTree) -> str:
+        edges = [f"    [\n     {u},\n     {v}\n    ]" for u, v in t.edges]
+        return (
+            "  {\n"
+            f'   "edges": {listed(edges, 3)},\n'
+            f'   "provenance": {indented(list(t.provenance), 3)},\n'
+            f'   "root": {t.root}\n'
+            "  }"
+        )
+
+    trees = [tree_doc(t) for t in cover.trees]
+    text = (
+        "{\n"
+        f' "params": {indented(cover.params, 1)},\n'
+        f' "trees": {listed(trees, 1)},\n'
+        ' "version": 1\n'
+        "}\n"
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_cover(path: str) -> TreeCover:
@@ -470,10 +533,18 @@ def _is_id(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def cover_stats(g: WeightedGraph, cover: TreeCover, pairs=None) -> dict:
+def stats_pairs(g: WeightedGraph, cover: TreeCover, pairs=None):
+    """The pairs ``cover_stats`` measures: ``pairs``, or the default demand
+    of the cover's seed when none are given."""
     if pairs is None or len(pairs) == 0:
         pairs = default_demand_pairs(g, int(cover.params.get("seed", 42)))
-    stretch = cover_stretch(g, cover, pairs)
+    return pairs
+
+
+def cover_stats(
+    g: WeightedGraph, cover: TreeCover, pairs=None, best: Optional[BestTrees] = None
+) -> dict:
+    stretch = cover_stretch(g, cover, stats_pairs(g, cover, pairs), best)
     mst = mst_weight(g)
     # with no edge, every tree weighs what the MST weighs: 0
     light = [t.weight(g) / mst if mst else 1.0 for t in cover.trees]

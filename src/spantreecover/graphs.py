@@ -6,24 +6,24 @@ All algorithms here are deterministic, with a fixed absolute tolerance on
 float comparisons. Two shortest-path kernels serve the package:
 
 - ``scipy.sparse.csgraph.dijkstra`` computes every distance the
-  construction reads: ``apsp``, and the in-cluster blocks of
-  ``ClusterDistances`` (strong diameters, pair distances). Nets read rows of
-  the all-pairs matrix. The paths that become tree edges are read off the
+  construction and its checks read: ``apsp``, and the in-cluster blocks of
+  ``ClusterDistances`` (strong diameters, pair distances, the path checks'
+  shortcuts and the sketches' nearest anchors). Nets read rows of the
+  all-pairs matrix. The paths that become tree edges are read off the
   same blocks: ``ClusterDistances.tree`` gives each vertex the smallest-id
   in-cluster neighbour that lies on a shortest path to it, which is the
   parent ``dijkstra``'s tie rule picks, and climbs those parents.
-- ``dijkstra``, a heap search in Python, answers the searches that leave the
-  induced subgraph: the checks' detours and nearest anchors, which also walk
-  path edges outside the cluster, and the greedy spanner's cut-off search.
-  It settles vertices in (distance, vertex id) order, and of two
-  equal-length parents (within tolerance) the one with the smaller vertex id
-  wins, so its paths do not depend on heap order.
+- ``dijkstra``, a heap search in Python, serves ``greedy_spanner``'s
+  cut-off search, and the tests as the reference for the block reads. It
+  settles vertices in (distance, vertex id) order, and of two equal-length
+  parents (within tolerance) the one with the smaller vertex id wins, so
+  its paths do not depend on heap order.
 
 ``ClusterDistances`` is the one place that runs and memoizes the searches
 inside a cluster, keyed by its member set: the path systems' pair paths,
-glue descents and searches towards pi, and the checks' detours and nearest
-anchors over G[members] union a path. The sigma hierarchies rebuild the same
-clusters, so these repeat across hierarchies and their copies.
+glue descents and searches towards pi, and the sketches' nearest anchors.
+The sigma hierarchies rebuild the same clusters, so these repeat across
+hierarchies and their copies.
 
 csgraph takes the exact float minimum over paths, which is the sum
 ``dijkstra`` keeps on the graphs built here, so the choice of kernel cannot
@@ -75,6 +75,10 @@ class DuplicateEdgeError(GraphFormatError):
 
 
 class DisconnectedGraphError(GraphFormatError):
+    pass
+
+
+class WeightRangeError(GraphFormatError):
     pass
 
 
@@ -153,6 +157,13 @@ def validate_graph(n: int, edges: list[tuple[int, int, float]]) -> WeightedGraph
             raise DuplicateEdgeError(f"duplicate edge ({a}, {b})")
         seen.add((a, b))
         norm.append((a, b, float(w)))
+    if norm:
+        wmin, wmax = min(w for *_, w in norm), max(w for *_, w in norm)
+        if not wmax / wmin < math.inf:
+            raise WeightRangeError(
+                f"weight ratio {wmax!r} / {wmin!r} overflows; the largest weight "
+                "divided by the smallest must be finite"
+            )
     g = WeightedGraph(n, norm)
     if n > 0 and not _connected(g):
         raise DisconnectedGraphError("graph is not connected")
@@ -309,8 +320,8 @@ def graph_csr(g: WeightedGraph) -> csr_matrix:
 def _positions(idx: np.ndarray, verts) -> np.ndarray:
     """Positions of ``verts`` in the sorted vertex array ``idx``."""
     verts = np.asarray(verts, dtype=np.int64)
-    pos = np.minimum(np.searchsorted(idx, verts), len(idx) - 1)
-    if not np.array_equal(idx[pos], verts):
+    pos = np.minimum(idx.searchsorted(verts), len(idx) - 1)
+    if (idx[pos] != verts).any():
         raise ValueError("vertex outside the cluster")
     return pos
 
@@ -360,13 +371,14 @@ class ClusterTree:
 
 class ClusterDistances:
     """Distances, shortest-path trees and paths inside induced subgraphs
-    G[members], and the checks' searches over G[members] union a path.
+    G[members], and what the checks read off them.
 
     One instance serves one construction: the sigma hierarchies rebuild the
     same clusters, and strong diameters, pair assignment, the path systems,
     their checks and the pair-bound check all search the same clusters from
-    the same sources. Every answer is memoized by the frozen member set, so
-    no hierarchy or copy repeats a search another has made. Distances come
+    the same sources. Blocks, trees, paths and anchor maps are memoized by
+    the frozen member set, so no hierarchy or copy repeats a search another
+    has made; a path check's shortcut is a read of the block. Distances come
     from one csgraph call per distinct member set: the |C| x |C| block of
     G[C], rows and columns in sorted member order. ``full`` (the all-pairs
     matrix of g, optional) is the block of the clusters that span the whole
@@ -381,8 +393,7 @@ class ClusterDistances:
         self._arcs: dict[frozenset[int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._trees: dict[tuple[frozenset[int], int], ClusterTree] = {}
         self._paths: dict[tuple, list[int]] = {}
-        self._detours: dict[tuple, float] = {}
-        self._anchors: dict[tuple, dict[int, tuple[float, int]]] = {}
+        self._anchors: dict[tuple, dict[int, int]] = {}
 
     def _block(self, members: frozenset[int]) -> tuple[np.ndarray, np.ndarray]:
         """(sorted members, all-pairs distances of G[members])."""
@@ -450,42 +461,56 @@ class ClusterDistances:
             hit = self._paths[key] = tree.path_to(end)
         return hit
 
-    def detour(self, members: frozenset[int], path: Sequence[int]) -> float:
-        """Length of the shortest path from path[0] to path[-1] inside
-        G[members] union ``path``; memoized."""
-        key = (members, tuple(path))
-        hit = self._detours.get(key)
-        if hit is None:
-            end = path[-1]
-            hit = self._detours[key] = dijkstra(
-                self.g, path[0], restrict=members, paths=[path], stop={end}
-            ).dist[end]
-        return hit
+    def shortcut(self, members: frozenset[int], verts: Sequence[int], along: np.ndarray) -> float:
+        """The most by which a walk inside G[members] undercuts a path
+        between two of its vertices: the max over pairs a, b of ``verts``
+        of (along[b] - along[a]) - d(a, b), with d the distance in
+        G[members]. ``verts`` are the path's vertices in ``members``, in
+        path order, and ``along`` their distances along it
+        from its start. 0 when fewer than two vertices are given.
 
-    def anchors(
-        self, members: frozenset[int], path: Sequence[int]
-    ) -> dict[int, tuple[float, int]]:
-        """(distance, anchor) of the nearest vertex of ``path`` inside
-        ``members`` (ties: smaller id) for every other member, measured in
-        G[members] union ``path``; memoized."""
+        The path is shortest in G[members] union itself when this is at
+        most TOL. A walk there is made of path edges and of excursions
+        inside G[members] between path vertices in ``members``: a path
+        edge costs exactly the change in ``along`` it makes, and an
+        excursion costs at least that change less the shortcut. So no walk
+        between the path's ends is shorter than the path by more than TOL
+        per excursion, and a heap search over G[members] union the path,
+        which ignores a gain of at most TOL at each relaxation, can detect
+        no more than that either.
+        """
+        if len(verts) < 2:
+            return 0.0
+        d = self.distances(members, verts, verts)
+        return float((along[None, :] - along[:, None] - d).max())
+
+    def anchors(self, members: frozenset[int], path: Sequence[int]) -> dict[int, int]:
+        """The nearest vertex of ``path`` inside ``members`` (ties: smaller
+        id) for every other member that reaches one, by distance in
+        G[members]; memoized.
+
+        This is the nearest in G[members] union ``path`` too: a walk from an
+        off-path member first meets the path at a path vertex in
+        ``members``, which is no farther than where the walk ends.
+        """
         key = (members, tuple(path))
-        best = self._anchors.get(key)
-        if best is None:
-            best = self._anchors[key] = {}
-            on = set(path)
-            off = members - on
-            for a in sorted(on & members):
-                dist = dijkstra(self.g, a, restrict=members, paths=[path]).dist
-                for v in off:
-                    if dist[v] < INF and (v not in best or (dist[v], a) < best[v]):
-                        best[v] = (dist[v], a)
-        return best
+        hit = self._anchors.get(key)
+        if hit is None:
+            idx, block = self._block(members)
+            on = np.isin(idx, path)
+            d = block[on][:, ~on]
+            hit = self._anchors[key] = {}
+            if len(d):
+                k = d.argmin(axis=0)  # the first of equal minima has the smallest id
+                ok = d[k, np.arange(len(k))] < INF
+                hit.update(zip(idx[~on][ok].tolist(), idx[on][k[ok]].tolist()))
+        return hit
 
     def distances(self, members: frozenset[int], sources, targets) -> np.ndarray:
         """Distances inside G[members], one row per source and one column
         per target; raises ValueError for a vertex outside ``members``."""
         idx, block = self._block(members)
-        return block[np.ix_(_positions(idx, sources), _positions(idx, targets))]
+        return block[_positions(idx, sources)[:, None], _positions(idx, targets)]
 
     def diameter(self, members: frozenset[int]) -> float:
         """Max pairwise distance inside G[members] (inf if disconnected)."""

@@ -10,11 +10,14 @@ The checks assert the path-system properties and the preservable lemma on the
 sketch. The lemma check makes a fixed number of linear passes over the sketch
 tree, plus one pass per member of the pair's first subcluster.
 
-Every search inside a cluster goes through the construction's
-``ClusterDistances``, which runs and memoizes it by member set: the build's
-pair paths, glue descents and searches towards pi, the sketch's nearest
-anchors and the path check's shortest detours. They repeat across
-hierarchies and hierarchy copies.
+Every distance inside a cluster comes from the construction's
+``ClusterDistances``, which computes one csgraph block per member set and
+memoizes it: the build's pair paths, glue descents and searches towards pi
+are read off the blocks, and so are the checks' answers. A path is shortest
+within a subcluster when no two of its vertices there are closer in the
+block than along the path (``ClusterDistances.shortcut``), and an off-path
+vertex hangs from the path vertex nearest to it in the block
+(``ClusterDistances.anchors``). No check runs a search of its own.
 """
 
 from __future__ import annotations
@@ -229,11 +232,11 @@ def build_sketch_graph(
         off = sorted(members - onpath)
         if not off:
             continue
-        best = dists.anchors(members, path)
+        anchor = dists.anchors(members, path)
         for v in off:
-            if v not in best:
+            if v not in anchor:
                 raise ValueError(f"vertex {v} cannot reach its cluster path")
-            fake.append((v, best[v][1], wfake))
+            fake.append((v, anchor[v], wfake))
     return SketchGraph(verts, real, fake, inter)
 
 
@@ -242,8 +245,10 @@ def verify_preservable_set(
     pset: PreservableSet,
     dists: Optional[ClusterDistances] = None,
 ) -> None:
-    """Assert the structural path-system properties. Each path's shortest
-    detour through a touched cluster is ``dists.detour``'s.
+    """Assert the structural path-system properties. Each path is shortest
+    in G[C] union itself for every subcluster C it touches when
+    ``dists.shortcut`` finds no pair of its vertices in C that the block of
+    C joins shorter, by more than TOL, than the path does.
     """
     if dists is None:
         dists = ClusterDistances(g)
@@ -266,16 +271,20 @@ def verify_preservable_set(
         assert len(touching) == 1, f"cluster {cid} touched by {touching}"
         assert pset.touch[cid] == touching[0]
     assert pset.paths[pset.highway] is pset.paths[0]
-    # each path is shortest in G[C] union itself, for every touched cluster C
+    # each path is shortest in G[C] union itself, for every touched cluster
+    # C; one that meets C in a single vertex is, as no excursion leaves it
     for idx, p in enumerate(pset.paths):
-        if len(p) < 2:
+        at: dict[int, list[int]] = {}  # touched cluster -> its path positions
+        for k, v in enumerate(p):
+            if v in chat:
+                at.setdefault(cof[v], []).append(k)
+        runs = sorted((cid, ks) for cid, ks in at.items() if len(ks) > 1)
+        if not runs:
             continue
-        plen = sum(g.weight(a, b) for a, b in zip(p, p[1:]))
-        for cid in sorted({cof[v] for v in p if v in chat}):
-            span = dists.detour(hier.clusters[cid].members, p)
-            assert abs(span - plen) <= TOL, (
-                f"path {idx} not shortest within cluster {cid}"
-            )
+        along = np.cumsum([0.0] + [g.weight(a, b) for a, b in zip(p, p[1:])])
+        for cid, ks in runs:
+            gain = dists.shortcut(hier.clusters[cid].members, [p[k] for k in ks], along[ks])
+            assert gain <= TOL, f"path {idx} not shortest within cluster {cid}"
     # inter-cluster edges are real edges crossing clusters (or reaching pi
     # vertices outside the cluster)
     for a, b in pset.inter_cluster:
@@ -412,18 +421,12 @@ def verify_preservable_lemma(
         if kind != "glue":
             continue
         bound = near[index[rep]] + 10.0 * epsilon * mu_i
-        seen: set[int] = set()
-        for v in pset.paths[idx]:
-            if v not in chat:
+        for cid in {cof[v] for v in pset.paths[idx] if v in chat}:
+            members = hier.clusters[cid].members
+            if leq(max(near[index[u]] for u in members), bound):
                 continue
-            cid = cof[v]
-            if cid in seen:
-                continue
-            seen.add(cid)
-            for u in hier.clusters[cid].members:
-                assert leq(near[index[u]], bound), (
-                    f"glue monotonicity broken at vertex {u}"
-                )
+            u = min(u for u in members if not leq(near[index[u]], bound))
+            raise PreservableError(f"glue monotonicity broken at vertex {u}")
     report["glue_ok"] = True
     return report
 

@@ -347,3 +347,10 @@ def test_cover_rejects_infinite_weight(tmp_path, capsys):
     p.write_text("2 1\n0 1 inf\n")
     assert main(["cover", "--graph", str(p)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cover_rejects_overflowing_weight_ratio(tmp_path, capsys):
+    p = tmp_path / "ratio.txt"
+    p.write_text("3 2\n0 1 1e-300\n1 2 1e300\n")
+    assert main(["cover", "--graph", str(p)]) == 2
+    assert "error: weight ratio" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import copy as copymod
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from spantreecover.cover import (
     pair_guarantee_report,
     path_preserving_tree,
     save_cover,
+    shared_best_trees,
     span_tree_cover,
     verify_spanning,
 )
@@ -254,6 +256,29 @@ def test_save_load_round_trip(tmp_path, grid8, grid8_cover):
     verify_spanning(grid8, loaded)
 
 
+@pytest.mark.parametrize("name", ["grid8", "rg64s1"])
+def test_save_cover_writes_json_dump_bytes(tmp_path, grid8_cover, name):
+    if name == "grid8":
+        cover = grid8_cover
+    else:
+        cover = span_tree_cover(generate("random_geometric", {"n": 64}, seed=1), CoverConfig())
+    doc = {
+        "version": 1,
+        "params": cover.params,
+        "trees": [
+            {
+                "provenance": list(t.provenance),
+                "root": t.root,
+                "edges": [[u, v] for u, v in t.edges],
+            }
+            for t in cover.trees
+        ],
+    }
+    path = tmp_path / "cover.json"
+    save_cover(cover, str(path))
+    assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
 def test_cover_stats_keys(grid8, grid8_cover):
     stats = cover_stats(grid8, grid8_cover)
     for key in (
@@ -267,6 +292,17 @@ def test_cover_stats_keys(grid8, grid8_cover):
         assert key in stats
     assert stats["num_trees"] == len(grid8_cover.trees)
     assert stats["max_tree_degree"] >= 2
+
+
+def test_shared_best_trees_serve_stats_and_gate(grid8, grid8_cover):
+    # one pass over the union answers both reports as their own passes do
+    g, cover = grid8, grid8_cover
+    pairs = default_demand_pairs(g, 42)
+    best = shared_best_trees(g, cover, pairs)
+    assert cover_stats(g, cover, pairs, best) == cover_stats(g, cover, pairs)
+    assert pair_guarantee_report(g, cover, best) == pair_guarantee_report(g, cover)
+    with pytest.raises(KeyError, match="outside"):
+        best(np.array([0]), np.array([0]))
 
 
 def test_config_validation():

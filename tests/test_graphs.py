@@ -44,6 +44,13 @@ def test_load_rejects_nonpositive_weight(tmp_path, w):
         load_graph(write_graph(tmp_path, f"2 1\n0 1 {w}\n"))
 
 
+def test_validate_rejects_overflowing_weight_ratio():
+    with pytest.raises(graphs.WeightRangeError, match="weight ratio 1e\\+300 / 1e-300"):
+        validate_graph(3, [(0, 1, 1e-300), (1, 2, 1e300)])
+    # a wide but finite ratio is accepted
+    assert validate_graph(3, [(0, 1, 1e-150), (1, 2, 1e150)]).m == 2
+
+
 def test_load_rejects_negative_vertex_count(tmp_path):
     with pytest.raises(MalformedLineError, match="negative vertex count"):
         load_graph(write_graph(tmp_path, "-2 0\n"))
@@ -269,8 +276,8 @@ def test_block_paths_equal_dijkstra_paths(kind, params, seed, monkeypatch):
 
 def test_checked_build_searches_each_cluster_once(monkeypatch):
     # ClusterDistances owns every in-cluster search of the build and its
-    # checks: a checks-on build derives each (member set, source) tree once
-    # and never repeats a heap search, across hierarchies and copies
+    # checks: a checks-on build derives each (member set, source) tree once,
+    # across hierarchies and copies, and makes no heap search
     import sys
 
     from spantreecover.cover import CoverConfig, span_tree_cover
@@ -297,8 +304,8 @@ def test_checked_build_searches_each_cluster_once(monkeypatch):
         if name.startswith("spantreecover") and getattr(module, "dijkstra", None) is search:
             monkeypatch.setattr(module, "dijkstra", counted_search)
     cover = span_tree_cover(generate("grid", {"k": 8}), CoverConfig())
-    assert cover.diagnostics["nodes_checked"] == 802
-    assert derived and searches
+    assert cover.diagnostics["nodes_checked"] == 719
+    assert derived and not searches
     assert len(derived) == len(set(derived))
     assert len(searches) == len(set(searches))
 

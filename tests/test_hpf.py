@@ -481,8 +481,9 @@ def test_checks_off_build_runs_no_heap_search(monkeypatch):
     cover = span_tree_cover(generate("grid", {"k": 8}), CoverConfig(check=False))
     assert len(cover.trees) == 116
     assert calls == []
-    span_tree_cover(generate("grid", {"k": 4}), CoverConfig())
-    assert calls, "the checks' searches go through the patched dijkstra"
+    # a checked build makes no heap search either; the spanner's do
+    graphs.greedy_spanner(generate("grid", {"k": 4}), 0.5)
+    assert calls, "the spanner's searches go through the patched dijkstra"
 
 
 def test_pairs_exhaustive_mode_small():

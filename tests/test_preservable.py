@@ -6,7 +6,7 @@ import pytest
 import spantreecover.cover as cover_mod
 from conftest import flat_hierarchy, unit_path
 from spantreecover.cover import CoverConfig, span_tree_cover
-from spantreecover.graphs import ClusterDistances, WeightedGraph, generate
+from spantreecover.graphs import TOL, ClusterDistances, WeightedGraph, dijkstra, generate
 from spantreecover.hpf import build_hpf, offset_ell
 from spantreecover.oracle import TreeOracle
 from spantreecover.preservable import (
@@ -235,6 +235,64 @@ def test_lemma_matches_oracle_reference_at_every_node(kind, params, seed, monkey
     assert seen["pairs"] > 0
 
 
+# block-read checks against the heap search -------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind,params,seed",
+    [("grid", {"k": 8}, 0), ("random_geometric", {"n": 64}, 1)],
+    ids=["grid8", "rg64s1"],
+)
+def test_block_checks_match_heap_search_at_every_node(kind, params, seed, monkeypatch):
+    # at every checked node, each path's block verdict is the verdict of a
+    # heap search over G[C] union the path, and each anchor map is the one
+    # built from heap searches out of the path's vertices in C
+    seen = {"sets": 0, "sketches": 0, "pairs": 0, "anchors": 0}
+    verify_set, build_sketch = cover_mod.verify_preservable_set, cover_mod.build_sketch_graph
+
+    def subclusters(pset):
+        hier = pset.hier
+        cof = hier.vmap[min(pset.sublevel, hier.i_max)]
+        return hier, cof, hier.clusters[pset.cluster_id].members
+
+    def checked_set(g, pset, dists):
+        hier, cof, chat = subclusters(pset)
+        for p in pset.paths:
+            along = np.cumsum([0.0] + [g.weight(a, b) for a, b in zip(p, p[1:])])
+            for cid in sorted({cof[v] for v in p if v in chat}):
+                members = hier.clusters[cid].members
+                ks = [k for k, v in enumerate(p) if v in members]
+                detour = dijkstra(g, p[0], restrict=members, paths=[p], stop={p[-1]}).dist[p[-1]]
+                block = dists.shortcut(members, [p[k] for k in ks], along[ks]) <= TOL
+                assert block == (abs(detour - along[-1]) <= TOL), (sorted(members), p)
+                seen["pairs"] += len(ks) > 1
+        seen["sets"] += 1
+        return verify_set(g, pset, dists=dists)
+
+    def checked_sketch(g, pset, mu_i, epsilon, dists):
+        hier, cof, chat = subclusters(pset)
+        for cid in sorted({cof[v] for v in chat}):
+            members = hier.clusters[cid].members
+            path = pset.paths[pset.touch[cid]]
+            want = {}
+            for a in sorted(members.intersection(path)):
+                dist = dijkstra(g, a, restrict=members, paths=[path]).dist
+                for v in members.difference(path):
+                    if dist[v] < np.inf and (v not in want or dist[v] < want[v][0]):
+                        want[v] = (dist[v], a)
+            assert dists.anchors(members, path) == {v: a for v, (_, a) in want.items()}
+            seen["anchors"] += len(want)
+        seen["sketches"] += 1
+        return build_sketch(g, pset, mu_i, epsilon, dists=dists)
+
+    monkeypatch.setattr(cover_mod, "verify_preservable_set", checked_set)
+    monkeypatch.setattr(cover_mod, "build_sketch_graph", checked_sketch)
+    cover = span_tree_cover(generate(kind, params, seed=seed), CoverConfig())
+    nodes = cover.diagnostics["nodes_checked"]
+    assert seen["sets"] == seen["sketches"] == nodes > 0
+    assert seen["pairs"] > 0 and seen["anchors"] > 0
+
+
 @pytest.fixture(scope="module")
 def grid5_top():
     """The top cluster of grid5's first hierarchy and its first and last
@@ -320,3 +378,48 @@ def test_lemma_rejects_glue_monotonicity_breach(grid5_top):
 
     with pytest.raises(AssertionError, match="glue monotonicity broken at vertex 18"):
         _lemma_on_grid5(grid5_top, False, corrupt)
+
+
+# path-system structure ----------------------------------------------------
+
+
+def _grid5_top_set(grid5_top):
+    """grid5's top path system without a pair: one single-vertex path into
+    each subcluster, [[0], [3], [7], [14], [15]]."""
+    g, hier, top, level, ell, _ = grid5_top
+    rep = hier.clusters[top].representative
+    pset = build_preservable_set(g, hier, top, level, ell, [rep], None)
+    assert pset.paths == [[0], [3], [7], [14], [15]]
+    return g, pset
+
+
+def _with_path(pset, idx, path):
+    paths = [path if k == idx else p for k, p in enumerate(pset.paths)]
+    return dataclasses.replace(pset, paths=paths)
+
+
+def test_set_grid5_uncorrupted_passes(grid5_top):
+    g, pset = _grid5_top_set(grid5_top)
+    verify_preservable_set(g, pset)
+    verify_preservable_set(g, _with_path(pset, 2, [7, 12, 17]))
+
+
+def test_set_rejects_longer_detour(grid5_top):
+    # 7 reaches 17 in two steps inside its subcluster {7, 11, 12, 13, 16,
+    # 17, 22}; the path takes four
+    g, pset = _grid5_top_set(grid5_top)
+    with pytest.raises(AssertionError, match="path 2 not shortest within cluster"):
+        verify_preservable_set(g, _with_path(pset, 2, [7, 12, 11, 16, 17]))
+
+
+def test_set_rejects_shared_vertex(grid5_top):
+    g, pset = _grid5_top_set(grid5_top)
+    with pytest.raises(AssertionError, match="vertex 3 on paths 1 and 2"):
+        verify_preservable_set(g, _with_path(pset, 2, [7, 8, 3]))
+
+
+def test_set_rejects_subcluster_touched_twice(grid5_top):
+    # 8 lies in the subcluster that path 1 ([3]) enters
+    g, pset = _grid5_top_set(grid5_top)
+    with pytest.raises(AssertionError, match=r"touched by \[1, 2\]"):
+        verify_preservable_set(g, _with_path(pset, 2, [7, 8]))
