@@ -410,8 +410,11 @@ class ClusterDistances:
     def tree(self, members: frozenset[int], source: int) -> ClusterTree:
         """The tree of ``dijkstra(g, source, restrict=members)``: the parent
         of v is its smallest-id neighbour u in ``members`` with
-        d(u) + w(u, v) <= d(v) + TOL, distances from the block. Derived once
-        per (members, source)."""
+        d(u) + w(u, v) <= d(v) + TOL and d(u) < d(v), distances from the
+        block. Derived once per (members, source). Raises WeightRangeError
+        when a reached vertex other than the source has no such neighbour,
+        which happens only when the weight ratio is so wide that d(u) + w
+        rounds to d(u)."""
         hit = self._trees.get((members, source))
         if hit is not None:
             return hit
@@ -427,15 +430,25 @@ class ClusterDistances:
         heads, tails, w = arcs
         s = _position(idx, source)
         dist = block[s]
-        ok = dist[tails] + w <= dist[heads] + TOL
+        # a parent is strictly closer, so the parents cannot form a cycle
+        # when a sum rounds away a light edge
+        ok = (dist[tails] + w <= dist[heads] + TOL) & (dist[tails] < dist[heads])
         h, t = heads[ok], tails[ok]
         # each head's first ok arc has the smallest-id tail
         first = np.ones(len(h), dtype=bool)
         first[1:] = h[1:] != h[:-1]
         parent = np.full(len(idx), -1, dtype=np.int32)
         parent[h[first]] = t[first]
-        parent[s] = -1
         parent[dist == INF] = -1
+        orphan = (parent == -1) & (dist < INF)
+        orphan[s] = False
+        if orphan.any():
+            _, _, weights = self.g.edge_columns()
+            raise WeightRangeError(
+                f"weight ratio {weights.max() / weights.min():.6g} is too wide: "
+                "a vertex is no closer to the source than its neighbours, "
+                "as a sum of weights rounds a light edge away"
+            )
         tree = self._trees[(members, source)] = ClusterTree(source, idx, dist, parent)
         return tree
 

@@ -13,20 +13,30 @@ cover's oracle stack (its preorder, stamps, parents and root-path sums), with
 all children in stamp order in one list; a vertex's table is read from these
 lists, its children and sibling windows being two index ranges into the
 children list. Each simulated route is checked against the tree distance
-that the tree's oracle view reports. Hierarchy copies share their base
-partition and differ only in their pair assignments, so the compressed
-subhierarchy of each (base hierarchy, top level) is built once as a
-template, whose one preorder walk gives the leaf stamps, intervals, depths,
-heavy children and every vertex's light steps. A copy then clones
-only its paired nodes and their ancestors, and rebuilds apex lists only for
-the vertices below a light child of a paired node; every other vertex keeps
-the template's list. Apex records are frozen and cached per (apex, child,
-pair). Records, apex lists and unpaired subtrees are shared between labels
-and subhierarchies, and are read-only.
+that the tree's oracle view reports.
+
+Hierarchy copies share their base partition and differ only in their pair
+assignments, so the compressed subhierarchy of each (base hierarchy, top
+level) is built once as a template, whose one preorder walk gives the leaf
+stamps, intervals, depths, heavy children and every vertex's apex list. A
+label holds, per template, the vertex's leaf stamp and its apex list, each
+record once; a record points to its node's table of the pairs that the
+template's copies assign there, keyed by the unordered child pair and giving
+the copy's subhierarchy index. Selection therefore finds the lowest common
+cluster once per template and answers with one lookup, so its cost depends
+on the template count, not on the tree count. No two copies of a template
+assign one pair at one node, so a lookup finds at most one subhierarchy, and
+the smallest index found over the templates is the first subhierarchy that
+qualifies. Labels list the templates in order of their first subhierarchy,
+whose index they store, so the scan stops at the first template that cannot
+hold a smaller index. Records, apex lists and pair tables are shared between
+labels and read-only. A copy's subhierarchy clones only its paired nodes and
+their ancestors; every other subtree is the template's own.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -254,35 +264,44 @@ class SubNode:
     heavy: int = -1  # heavy child index, -1 when none
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ApexRecord:
+    """One light step of a template: the apex node, through child L1. The
+    node's pairs over all copies of the template sit in ``pairs``, which
+    every record of the node shares."""
+
     depth: int
     interval: tuple[int, int]
     child_of_x: int  # L1
     heavy_child: int  # L2, -1 when absent
-    pair: Optional[tuple[int, int]]  # L3
+    # L3: the node's copy pairs, unordered child pair -> (subhierarchy
+    # index, the pair as assigned)
+    pairs: dict[tuple[int, int], tuple[int, tuple[int, int]]]
 
 
 @dataclass(slots=True)
 class SelectionLabel:
-    # per subhierarchy: own leaf timestamp and the apex records; records and
-    # apex lists are shared between vertices and hierarchy copies, read-only
+    # per template: own leaf timestamp and the apex records, and the index
+    # of the template's first subhierarchy; records, apex lists and ``first``
+    # are shared between vertices, read-only
     stamps: list[int]
     apices: list[list[ApexRecord]]
+    first: list[int]
 
 
 class _Template:
-    """The compressed subhierarchy of one (base hierarchy, top level) with no
-    pairs assigned, and what each copy of that base needs to label its tree.
+    """The compressed subhierarchy of one (base hierarchy, top level) and
+    the apex lists of its vertices, with every copy's pairs filed under
+    the paired nodes.
 
     Copies share the base partition and differ only in their pairs, so the
-    tree shape, stamps, depths, heavy children and each vertex's light steps
+    tree shape, stamps, depths, heavy children and each vertex's apex list
     are computed here once; ``instantiate`` adds one copy's pairs.
     """
 
     __slots__ = (
-        "hier", "root", "nodes", "parent", "rank", "index", "leaves",
-        "stamps", "trails", "apices", "records", "within",
+        "hier", "root", "nodes", "parent", "rank", "index", "stamps",
+        "apices", "pairs", "within",
     )
 
     def __init__(self, hier, top_level: int, ell: int, n: int) -> None:
@@ -316,20 +335,20 @@ class _Template:
         nodes: list[SubNode] = []
         parent: list[int] = []
         rank: list[int] = []
-        leaves: list[int] = []  # vertex by leaf stamp
+        num_leaves = 0
         stamps = [-1] * n
         trails: list[tuple[tuple[int, int], ...]] = [()] * n
         stack: list[tuple[SubNode, int, int, int, Optional[tuple]]] = [(root, -1, 0, 0, ())]
         while stack:
             node, p, r, depth, trail = stack.pop()
             if trail is None:
-                node.tmax = len(leaves) - 1
+                node.tmax = num_leaves - 1
                 continue
-            node.depth, node.tmin = depth, len(leaves)
+            node.depth, node.tmin = depth, num_leaves
             if node.leaf is not None:
                 node.tmax = node.tmin
                 stamps[node.leaf] = node.tmin
-                leaves.append(node.leaf)
+                num_leaves += 1
                 trails[node.leaf] = trail
                 continue
             k = len(nodes)
@@ -347,6 +366,15 @@ class _Template:
         for v in range(n):
             assert stamps[v] >= 0, f"vertex {v} missing from a subhierarchy"
 
+        # one record per light step, shared by every vertex below it
+        pairs: list[dict] = [{} for _ in nodes]
+        records: dict[tuple[int, int], ApexRecord] = {}
+        for k, i in set(itertools.chain.from_iterable(trails)):
+            node = nodes[k]
+            records[(k, i)] = ApexRecord(
+                node.depth, (node.tmin, node.tmax), i, node.heavy, pairs[k]
+            )
+
         at = {id(node): k for k, node in enumerate(nodes)}
         self.hier = hier
         self.root = root
@@ -354,23 +382,10 @@ class _Template:
         self.parent = parent
         self.rank = rank
         self.index = {key: at[id(node)] for key, node in index.items()}
-        self.leaves = leaves
         self.stamps = stamps
-        self.trails = trails
-        self.records: dict[tuple, ApexRecord] = {}
+        self.apices = [[records[step] for step in trail] for trail in trails]
+        self.pairs = pairs
         self.within: dict[tuple[int, int], int] = {}
-        self.apices = [[self.record(k, i, None) for k, i in t] for t in trails]
-
-    def record(
-        self, k: int, i: int, pair: Optional[tuple[int, int]]
-    ) -> ApexRecord:
-        """The shared apex record of node k reached through child i."""
-        rec = self.records.get((k, i, pair))
-        if rec is None:
-            node = self.nodes[k]
-            rec = ApexRecord(node.depth, (node.tmin, node.tmax), i, node.heavy, pair)
-            self.records[(k, i, pair)] = rec
-        return rec
 
     def child_within(self, k: int, sub: int) -> int:
         """Index of node k's child that lies inside subcluster ``sub``."""
@@ -382,21 +397,24 @@ class _Template:
             self.within[(k, sub)] = i
         return i
 
-    def instantiate(
-        self, pairs: dict
-    ) -> tuple[SubNode, list[list[ApexRecord]]]:
-        """One copy's subhierarchy and per-vertex apex lists.
+    def instantiate(self, pairs: dict, idx: int) -> SubNode:
+        """The subhierarchy of the copy with these pairs, whose index is idx.
 
-        Only the paired nodes and their ancestors are cloned; every other
-        subtree is the template's own. Only vertices below a light child of a
-        paired node get a new apex list; the rest share the template's."""
+        Files each of the copy's pairs under its node, and clones only the
+        paired nodes and their ancestors; every other subtree is the
+        template's own."""
         paired: dict[int, tuple[int, int]] = {}
         for key, entry in pairs.items():
             k = self.index.get(key)
-            if k is not None:
-                paired[k] = (self.child_within(k, entry[0]), self.child_within(k, entry[1]))
+            if k is None:
+                continue
+            pair = (self.child_within(k, entry[0]), self.child_within(k, entry[1]))
+            slot = (min(pair), max(pair))
+            assert slot not in self.pairs[k], "two copies assign one pair at a node"
+            self.pairs[k][slot] = (idx, pair)
+            paired[k] = pair
         if not paired:
-            return self.root, self.apices
+            return self.root
 
         need: set[int] = set()
         for k in paired:
@@ -413,98 +431,84 @@ class _Template:
             clones[k] = clone
             if k:
                 clones[self.parent[k]].children[self.rank[k]] = clone
-
-        affected: set[int] = set()
-        for k in paired:
-            node = self.nodes[k]
-            for i, kid in enumerate(node.children):
-                if i != node.heavy:
-                    affected.update(self.leaves[kid.tmin : kid.tmax + 1])
-        apices = self.apices[:]
-        for v in affected:
-            apices[v] = [
-                self.record(k, i, paired.get(k)) for k, i in self.trails[v]
-            ]
-        return clones[0], apices
+        return clones[0]
 
 
 def build_selection_labels(hpf, cover) -> tuple[list[SelectionLabel], list[SubNode]]:
-    """Per-vertex apex lists over every compressed subhierarchy; the
-    subhierarchy order matches the cover's tree order. One template is built
-    per (base hierarchy, top level) and instantiated once per copy."""
+    """Per-vertex leaf stamps and apex lists over every template, and the
+    compressed subhierarchies, in the cover's tree order. One template is
+    built per (base hierarchy, top level), in order of first use, and
+    instantiated once per copy."""
     n = hpf.graph.n
     templates: dict[tuple[int, int], _Template] = {}
+    first: list[int] = []
     subs: list[SubNode] = []
-    stamps: list[list[int]] = []
-    apices: list[list[list[ApexRecord]]] = []
     for copy in hpf.copies:
         for level in hpf.top_tree_levels(copy.base_index):
             tpl = templates.get((copy.base_index, level))
             if tpl is None:
                 tpl = _Template(copy.base, level, hpf.ell, n)
                 templates[(copy.base_index, level)] = tpl
-            root, lists = tpl.instantiate(copy.pairs)
-            subs.append(root)
-            stamps.append(tpl.stamps)
-            apices.append(lists)
+                first.append(len(subs))
+            subs.append(tpl.instantiate(copy.pairs, len(subs)))
     assert len(subs) == len(cover.trees), "subhierarchy/tree count mismatch"
+    tpls = list(templates.values())
     labels = [
-        SelectionLabel([s[v] for s in stamps], [a[v] for a in apices])
+        SelectionLabel([t.stamps[v] for t in tpls], [t.apices[v] for t in tpls], first)
         for v in range(n)
     ]
     return labels, subs
 
 
-def _lca_record(
-    lx: SelectionLabel, ly: SelectionLabel, idx: int
-) -> Optional[tuple[Optional[ApexRecord], Optional[ApexRecord]]]:
-    tx, ty = lx.stamps[idx], ly.stamps[idx]
+def _deepest(recs: list[ApexRecord], lo: int, hi: int) -> Optional[ApexRecord]:
+    """The deepest record whose interval holds both stamps lo <= hi. A list
+    runs from the root down, so its intervals nest."""
+    for r in reversed(recs):
+        a, b = r.interval
+        if a <= lo and hi <= b:
+            return r
+    return None
 
-    def deepest(recs: list[ApexRecord]) -> Optional[ApexRecord]:
-        best = None
-        for r in recs:
-            if r.interval[0] <= tx <= r.interval[1] and (
-                r.interval[0] <= ty <= r.interval[1]
-            ):
-                if best is None or r.depth > best.depth:
-                    best = r
-        return best
 
-    rx = deepest(lx.apices[idx])
-    ry = deepest(ly.apices[idx])
-    if rx is None and ry is None:
+def template_choice(label_x: SelectionLabel, label_y: SelectionLabel, j: int) -> Optional[int]:
+    """The index of template j's one subhierarchy whose lowest common
+    cluster of the two leaves is assigned exactly their two child branches,
+    or None. The lowest common cluster and the two branches are the same in
+    every copy of a template, and no two copies assign one pair at one node,
+    so this is one lookup."""
+    tx, ty = label_x.stamps[j], label_y.stamps[j]
+    lo, hi = (tx, ty) if tx < ty else (ty, tx)
+    rx = _deepest(label_x.apices[j], lo, hi)
+    ry = _deepest(label_y.apices[j], lo, hi)
+    if rx is not None and (ry is None or rx.depth >= ry.depth):
+        cx = rx.child_of_x
+        cy = ry.child_of_x if ry is not None and ry.depth == rx.depth else rx.heavy_child
+        pairs = rx.pairs
+    elif ry is not None:
+        cx, cy, pairs = ry.heavy_child, ry.child_of_x, ry.pairs
+    else:
         return None
-    if rx is not None and ry is not None:
-        if rx.depth > ry.depth:
-            ry = None
-        elif ry.depth > rx.depth:
-            rx = None
-    return rx, ry
+    hit = pairs.get((cx, cy) if cx < cy else (cy, cx))
+    return None if hit is None else hit[0]
 
 
 def select_tree(label_x: SelectionLabel, label_y: SelectionLabel) -> int:
     """First subhierarchy whose lowest common cluster of the two leaves is
-    assigned exactly their two child branches; its index is the tree index."""
+    assigned exactly their two child branches; its index is the tree index.
+    Templates come in order of their first subhierarchy, so the scan stops
+    at the first template that cannot hold a smaller index."""
     if label_x.stamps == label_y.stamps:
         raise ValueError("degenerate query: identical labels")
-    for idx in range(len(label_x.stamps)):
-        found = _lca_record(label_x, label_y, idx)
-        if found is None:
-            continue
-        rx, ry = found
-        if rx is not None:
-            cx = rx.child_of_x
-            cy = ry.child_of_x if ry is not None else rx.heavy_child
-            pair = rx.pair
-        else:
-            cy = ry.child_of_x
-            cx = ry.heavy_child
-            pair = ry.pair
-        if cx < 0 or cy is None or cy < 0 or pair is None:
-            continue
-        if {cx, cy} == set(pair):
-            return idx
-    raise SelectionError("no subhierarchy preserves this pair")
+    best = -1
+    for j, first in enumerate(label_x.first):
+        if 0 <= best < first:
+            break
+        idx = template_choice(label_x, label_y, j)
+        if idx is not None and (best < 0 or idx < best):
+            best = idx
+    if best < 0:
+        raise SelectionError("no subhierarchy preserves this pair")
+    return best
 
 
 def lca_condition_bruteforce(root: SubNode, x: int, y: int):
@@ -615,26 +619,32 @@ def route_end_to_end(
 
 
 def measure_sizes(scheme: RoutingScheme) -> dict:
-    """Exact bit accounting with fixed-width integer fields."""
+    """Exact bit accounting with fixed-width integer fields, counting what
+    is stored."""
     w = word_bits(scheme.graph.n)
     num_trees = len(scheme.states)
     label_max = 0
-    table_max = 0
-    for v in range(scheme.graph.n):
-        # per tree: one timestamp; plus the selection label
-        bits = num_trees * w
-        lab = scheme.labels[v]
+    for lab in scheme.labels:
+        # per tree: one timestamp; per template: the leaf timestamp and the
+        # first subhierarchy index, then per apex record its depth,
+        # interval, L1 and L2, and per copy pair at its node the
+        # subhierarchy index and the two child indices
+        words = num_trees + len(lab.stamps) + len(lab.first)
         for recs in lab.apices:
-            bits += w  # leaf timestamp in this subhierarchy
-            bits += len(recs) * 6 * w  # interval, L1, L2, L3 per apex
-        label_max = max(label_max, bits)
-        tbits = 0
-        for state in scheme.states:
-            tbits += 3 * w  # own interval + parent port
-            tbits += 2 * w  # parent interval
-            tbits += 3 * w * len(state.children_window(v))  # interval, port
-            tbits += 3 * w * len(state.sibling_window(v))
-        table_max = max(table_max, tbits)
+            words += sum(5 + 3 * len(r.pairs) for r in recs)
+        label_max = max(label_max, words * w)
+    # per tree and vertex: own interval, parent port and parent interval,
+    # then interval and port of each child and sibling in the two windows
+    window_entries = np.zeros(scheme.graph.n, dtype=np.int64)
+    for state in scheme.states:
+        start = np.asarray(state.kid_start)
+        children = np.diff(start)
+        # siblings after u: its parent's children past pos[u]; at the root,
+        # parent -1 reads start[0] = 0 and pos -1 gives 0
+        siblings = start[np.asarray(state.parent) + 1] - np.asarray(state.pos) - 1
+        window_entries += np.minimum(children, state.beta)
+        window_entries += np.minimum(siblings, state.beta)
+    table_max = int(5 * w * num_trees + 3 * w * window_entries.max(initial=0))
     limit = 2**w
     for (u, _), p in scheme.ports.ports.items():
         assert 0 <= p < limit

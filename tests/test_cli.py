@@ -1,4 +1,5 @@
 import json
+import signal
 
 import pytest
 
@@ -353,4 +354,50 @@ def test_cover_rejects_overflowing_weight_ratio(tmp_path, capsys):
     p = tmp_path / "ratio.txt"
     p.write_text("3 2\n0 1 1e-300\n1 2 1e300\n")
     assert main(["cover", "--graph", str(p)]) == 2
+    assert "error: weight ratio" in capsys.readouterr().err
+
+
+def _joined_grids(weight):
+    """Two 6x6 unit grids joined by one edge of the given weight."""
+    def vid(g, r, c):
+        return 36 * g + 6 * r + c
+
+    edges = [(vid(0, 5, 5), vid(1, 0, 0), weight)]
+    for g in range(2):
+        for r in range(6):
+            for c in range(6):
+                if c < 5:
+                    edges.append((vid(g, r, c), vid(g, r, c + 1), 1.0))
+                if r < 5:
+                    edges.append((vid(g, r, c), vid(g, r + 1, c), 1.0))
+    return f"72 {len(edges)}\n" + "".join(f"{u} {v} {w!r}\n" for u, v, w in edges)
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("cover build ran past its time budget")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3 2\n0 1 1\n1 2 1e16\n",
+        "3 2\n0 1 1\n1 2 1e30\n",
+        "3 2\n0 1 1\n1 2 1e300\n",
+        _joined_grids(1e16),
+    ],
+    ids=["path1e16", "path1e30", "path1e300", "joined_grids1e16"],
+)
+def test_cover_rejects_weight_ratio_that_rounds_away_an_edge(tmp_path, capsys, text):
+    # a sum of weights that rounds a light edge away once made two vertices
+    # each other's parent, and the build looped; it must exit 2 in time
+    p = tmp_path / "wide.txt"
+    p.write_text(text)
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(30)
+    try:
+        rc = main(["cover", "--graph", str(p), "--out", str(tmp_path / "c.json")])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rc == 2
     assert "error: weight ratio" in capsys.readouterr().err

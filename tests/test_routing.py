@@ -13,7 +13,6 @@ from spantreecover.routing import (
     RouteTrace,
     RoutingScheme,
     SelectionError,
-    _lca_record,
     assign_ports,
     build_routing_scheme,
     build_selection_labels,
@@ -26,6 +25,7 @@ from spantreecover.routing import (
     routing_decision,
     select_tree,
     simulate_route,
+    template_choice,
     word_bits,
 )
 
@@ -35,6 +35,11 @@ EPS = 0.25
 @pytest.fixture(scope="module")
 def grid8_scheme(grid8):
     return build_routing_scheme(grid8)
+
+
+@pytest.fixture(scope="module")
+def rg64s1_scheme():
+    return build_routing_scheme(generate("random_geometric", {"n": 64}, seed=1))
 
 
 def star(weights):
@@ -347,33 +352,44 @@ def test_apex_count_logarithmic(grid8, grid8_scheme):
 def test_selection_decode_matches_bruteforce():
     g = generate("grid", {"k": 5})  # 25 <= 64: exhaustive pairs
     scheme = build_routing_scheme(g)
-    for idx, root in enumerate(scheme.subhierarchies):
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            # each subhierarchy index appears only in its own template's
+            # lookups, so it is decoded iff its template chose it
+            lu, lv = scheme.labels[u], scheme.labels[v]
+            chosen = {template_choice(lu, lv, j) for j in range(len(lu.stamps))}
+            for idx, root in enumerate(scheme.subhierarchies):
                 holds, _ = lca_condition_bruteforce(root, u, v)
-                found = _lca_record(scheme.labels[u], scheme.labels[v], idx)
-                decoded = False
-                if found is not None:
-                    rx, ry = found
-                    if rx is not None:
-                        cx = rx.child_of_x
-                        cy = (
-                            ry.child_of_x
-                            if ry is not None
-                            else rx.heavy_child
-                        )
-                        pair = rx.pair
-                    else:
-                        cy = ry.child_of_x
-                        cx = ry.heavy_child
-                        pair = ry.pair
-                    decoded = (
-                        pair is not None
-                        and cx >= 0
-                        and cy >= 0
-                        and {cx, cy} == set(pair)
-                    )
+                decoded = idx in chosen
                 assert decoded == holds, (idx, u, v)
+
+
+def selection_digest(scheme):
+    """SHA-256 of select_tree's answer on every ordered pair, -1 for a
+    SelectionError."""
+    n = scheme.graph.n
+    out = []
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            try:
+                out.append(select_tree(scheme.labels[x], scheme.labels[y]))
+            except SelectionError:
+                out.append(-1)
+    return hashlib.sha256(repr(out).encode()).hexdigest()
+
+
+def test_selection_pinned_grid8(grid8_scheme):
+    assert selection_digest(grid8_scheme) == (
+        "0b01409e72cbf078b52701bd49b9081dfffefce0e6be6ce9d6f3ec87c05cb87e"
+    )
+
+
+def test_selection_pinned_rg64s1(rg64s1_scheme):
+    assert selection_digest(rg64s1_scheme) == (
+        "857ae3db4c53e552e4228e1de3895b0bac7a730d1e56bf2cf78a3e26eaffad66"
+    )
 
 
 def test_selection_sound(grid8_scheme):
@@ -432,18 +448,37 @@ def test_path_tables_constant_size():
 # pinned output ---------------------------------------------------------
 
 
+def subhierarchy_templates(hpf):
+    """The label template of each subhierarchy: templates are numbered per
+    (base hierarchy, top level) in order of first use."""
+    keys = [(c.base_index, lv) for c in hpf.copies for lv in hpf.top_tree_levels(c.base_index)]
+    order = {key: j for j, key in enumerate(dict.fromkeys(keys))}
+    return [order[key] for key in keys]
+
+
 def routing_digest(scheme):
-    """SHA-256 of a canonical dump of every tree's tables and every label."""
+    """SHA-256 of a canonical dump of every tree's tables and every label,
+    the labels decoded into per-subhierarchy leaf stamps and apex records
+    that carry the subhierarchy's own pair."""
     h = hashlib.sha256()
     for st in scheme.states:
         tables = [table(st, u) for u in range(len(st.tstamp))]
         h.update(repr((st.tstamp, st.parent, tables)).encode())
+    tpl_of = subhierarchy_templates(scheme.cover.hpf)
+
+    def pair_in(r, idx):
+        return next((pair for i, pair in r.pairs.values() if i == idx), None)
+
     for lab in scheme.labels:
+        stamps = [lab.stamps[j] for j in tpl_of]
         apices = [
-            [(r.depth, r.interval, r.child_of_x, r.heavy_child, r.pair) for r in recs]
-            for recs in lab.apices
+            [
+                (r.depth, r.interval, r.child_of_x, r.heavy_child, pair_in(r, idx))
+                for r in lab.apices[j]
+            ]
+            for idx, j in enumerate(tpl_of)
         ]
-        h.update(repr((lab.stamps, apices)).encode())
+        h.update(repr((stamps, apices)).encode())
     return h.hexdigest()
 
 
@@ -453,8 +488,7 @@ def test_routing_output_pinned_grid8(grid8_scheme):
     )
 
 
-def test_routing_output_pinned_rg64s1():
-    scheme = build_routing_scheme(generate("random_geometric", {"n": 64}, seed=1))
-    assert routing_digest(scheme) == (
+def test_routing_output_pinned_rg64s1(rg64s1_scheme):
+    assert routing_digest(rg64s1_scheme) == (
         "9d6513119f72d0ffab86e91f32094a6a9a76a69a4caeec0703ee65de0262dd16"
     )
