@@ -28,7 +28,15 @@ from .cover import (
     stats_pairs,
     verify_spanning,
 )
-from .graphs import TOL, WeightedGraph, apsp, generate, load_graph, save_graph
+from .graphs import (
+    GENERATOR_KINDS,
+    TOL,
+    WeightedGraph,
+    apsp,
+    generate,
+    load_graph,
+    save_graph,
+)
 from .hpf import verify_padding
 from .oracle import build_oracle, query_path
 from .routing import (
@@ -61,14 +69,19 @@ def _parse_pairs(spec: str | None, g: WeightedGraph, seed: int) -> np.ndarray:
         return default_demand_pairs(g, seed, sample_size=k, cap=0)
     pairs = []
     with open(spec, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            u, v = (int(x) for x in line.split()[:2])
+            try:
+                u, v = (int(x) for x in line.split()[:2])
+            except ValueError as exc:
+                raise ValueError(f"pairs file line {lineno}: {exc}") from exc
             for x in (u, v):
                 if not 0 <= x < g.n:
-                    raise ValueError(f"pairs file: vertex {x} outside range(0, {g.n})")
+                    raise ValueError(
+                        f"pairs file line {lineno}: vertex {x} outside range(0, {g.n})"
+                    )
             pairs.append((u, v))
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
@@ -282,16 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--stats", default=None)
 
     pg = sub.add_parser("generate", help="write a named test instance")
-    pg.add_argument(
-        "kind",
-        choices=[
-            "path",
-            "uniform_line",
-            "grid",
-            "star_exponential",
-            "random_geometric",
-        ],
-    )
+    pg.add_argument("kind", choices=GENERATOR_KINDS)
     pg.add_argument("size", type=int)
     pg.add_argument("--seed", type=int, default=42)
     pg.add_argument("--out", default=None)

@@ -141,6 +141,8 @@ class WeightedGraph:
 
 
 def validate_graph(n: int, edges: list[tuple[int, int, float]]) -> WeightedGraph:
+    if n < 1:
+        raise GraphFormatError("graph has no vertices")
     seen: set[tuple[int, int]] = set()
     norm: list[tuple[int, int, float]] = []
     for u, v, w in edges:
@@ -165,14 +167,12 @@ def validate_graph(n: int, edges: list[tuple[int, int, float]]) -> WeightedGraph
                 "divided by the smallest must be finite"
             )
     g = WeightedGraph(n, norm)
-    if n > 0 and not _connected(g):
+    if not _connected(g):
         raise DisconnectedGraphError("graph is not connected")
     return g
 
 
 def _connected(g: WeightedGraph) -> bool:
-    if g.n == 0:
-        return True
     return csgraph.connected_components(graph_csr(g), directed=False)[0] == 1
 
 
@@ -663,13 +663,21 @@ def greedy_net(
     return members
 
 
+GENERATOR_KINDS = ("path", "uniform_line", "grid", "star_exponential", "random_geometric")
+
+
 def generate(kind: str, params: dict, seed: int = 0) -> WeightedGraph:
-    """Named test-instance families, deterministic in (params, seed)."""
+    """Named test-instance families, deterministic in (params, seed). The
+    size, ``n`` or the grid side ``k``, must be at least 1."""
+    if kind not in GENERATOR_KINDS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    size = int(params["k" if kind == "grid" else "n"])
+    if size < 1:
+        raise ValueError(f"{kind} size {size} is below 1")
     if kind in ("path", "uniform_line"):
-        n = int(params["n"])
-        return WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+        return WeightedGraph(size, [(i, i + 1, 1.0) for i in range(size - 1)])
     if kind == "grid":
-        k = int(params["k"])
+        k = size
         edges = []
         for r in range(k):
             for c in range(k):
@@ -680,16 +688,17 @@ def generate(kind: str, params: dict, seed: int = 0) -> WeightedGraph:
                     edges.append((u, u + k, 1.0))
         return WeightedGraph(k * k, edges)
     if kind == "star_exponential":
-        n = int(params["n"])
-        return WeightedGraph(n, [(0, i, float(2 ** (i - 1))) for i in range(1, n)])
-    if kind == "random_geometric":
-        return _random_geometric(
-            int(params["n"]),
-            int(params.get("dim", 2)),
-            params.get("radius"),
-            seed,
-        )
-    raise ValueError(f"unknown generator kind {kind!r}")
+        if size > 1025:
+            raise ValueError(
+                f"star_exponential size {size}: the weight 2^{size - 2} overflows a float"
+            )
+        return WeightedGraph(size, [(0, i, float(2 ** (i - 1))) for i in range(1, size)])
+    return _random_geometric(
+        size,
+        int(params.get("dim", 2)),
+        params.get("radius"),
+        seed,
+    )
 
 
 def _random_geometric(
@@ -705,7 +714,7 @@ def _random_geometric(
             for off in np.nonzero(d <= r)[0]:
                 edges.append((i, i + 1 + int(off), float(d[off])))
         g = WeightedGraph(n, edges)
-        if _connected(g) and g.m > 0:
+        if _connected(g):
             return g
         r *= 1.2
     raise RuntimeError("could not draw a connected geometric graph")

@@ -30,8 +30,9 @@ the smallest index found over the templates is the first subhierarchy that
 qualifies. Labels list the templates in order of their first subhierarchy,
 whose index they store, so the scan stops at the first template that cannot
 hold a smaller index. Records, apex lists and pair tables are shared between
-labels and read-only. A copy's subhierarchy clones only its paired nodes and
-their ancestors; every other subtree is the template's own.
+labels and read-only. A tree's (copy, top level) comes from its provenance,
+so the subhierarchy index is the tree index, and a copy adds only its pairs
+to its template's tables: no copy's subhierarchy is built.
 """
 
 from __future__ import annotations
@@ -254,9 +255,7 @@ class SubNode:
     """One node of a compressed cluster hierarchy."""
 
     members: frozenset[int]
-    level: int
     children: list["SubNode"] = field(default_factory=list)
-    pair: Optional[tuple[int, int]] = None  # child indices, when assigned
     leaf: Optional[int] = None
     tmin: int = -1
     tmax: int = -1
@@ -299,10 +298,7 @@ class _Template:
     are computed here once; ``instantiate`` adds one copy's pairs.
     """
 
-    __slots__ = (
-        "hier", "root", "nodes", "parent", "rank", "index", "stamps",
-        "apices", "pairs", "within",
-    )
+    __slots__ = ("hier", "nodes", "index", "stamps", "apices", "pairs", "within")
 
     def __init__(self, hier, top_level: int, ell: int, n: int) -> None:
         """Keep every ell-th level below the given top, with single-child
@@ -313,34 +309,31 @@ class _Template:
             cluster = hier.clusters[cid]
             if len(cluster.members) == 1:
                 (v,) = cluster.members
-                return SubNode(cluster.members, 0, leaf=v)
+                return SubNode(cluster.members, leaf=v)
             isub = max(level - ell, 0)
             kid_ids = sorted({hier.cluster_at(v, isub) for v in cluster.members})
             kids = [build(isub, k) for k in kid_ids]
             if len(kids) == 1:
                 return kids[0]
-            node = SubNode(cluster.members, level, children=kids)
+            node = SubNode(cluster.members, kids)
             index[(level, cid)] = node
             return node
 
         root = build(top_level, hier.levels[hier.i_max][0])
 
-        # one preorder walk: internal nodes in preorder, each with its parent,
-        # its rank among the parent's children, its depth and its heavy child
-        # (from member counts, known before the children are visited); leaves
-        # stamped in visit order; per vertex, its leaf stamp and the light
-        # steps (apex node, child index) from the root down. A node's interval
-        # opens at the next stamp and closes when its marker, a None trail,
-        # pops after its subtree.
+        # one preorder walk: internal nodes in preorder, each with its depth
+        # and its heavy child (from member counts, known before the children
+        # are visited); leaves stamped in visit order; per vertex, its leaf
+        # stamp and the light steps (apex node, child index) from the root
+        # down. A node's interval opens at the next stamp and closes when its
+        # marker, a None trail, pops after its subtree.
         nodes: list[SubNode] = []
-        parent: list[int] = []
-        rank: list[int] = []
         num_leaves = 0
         stamps = [-1] * n
         trails: list[tuple[tuple[int, int], ...]] = [()] * n
-        stack: list[tuple[SubNode, int, int, int, Optional[tuple]]] = [(root, -1, 0, 0, ())]
+        stack: list[tuple[SubNode, int, Optional[tuple]]] = [(root, 0, ())]
         while stack:
-            node, p, r, depth, trail = stack.pop()
+            node, depth, trail = stack.pop()
             if trail is None:
                 node.tmax = num_leaves - 1
                 continue
@@ -353,16 +346,14 @@ class _Template:
                 continue
             k = len(nodes)
             nodes.append(node)
-            parent.append(p)
-            rank.append(r)
             size = len(node.members)
             node.heavy = next(
                 (i for i, kid in enumerate(node.children) if 2 * len(kid.members) > size), -1
             )
-            stack.append((node, p, r, depth, None))
+            stack.append((node, depth, None))
             for i in range(len(node.children) - 1, -1, -1):
                 step = trail if i == node.heavy else trail + ((k, i),)
-                stack.append((node.children[i], k, i, depth + 1, step))
+                stack.append((node.children[i], depth + 1, step))
         for v in range(n):
             assert stamps[v] >= 0, f"vertex {v} missing from a subhierarchy"
 
@@ -377,10 +368,7 @@ class _Template:
 
         at = {id(node): k for k, node in enumerate(nodes)}
         self.hier = hier
-        self.root = root
         self.nodes = nodes
-        self.parent = parent
-        self.rank = rank
         self.index = {key: at[id(node)] for key, node in index.items()}
         self.stamps = stamps
         self.apices = [[records[step] for step in trail] for trail in trails]
@@ -397,13 +385,9 @@ class _Template:
             self.within[(k, sub)] = i
         return i
 
-    def instantiate(self, pairs: dict, idx: int) -> SubNode:
-        """The subhierarchy of the copy with these pairs, whose index is idx.
-
-        Files each of the copy's pairs under its node, and clones only the
-        paired nodes and their ancestors; every other subtree is the
-        template's own."""
-        paired: dict[int, tuple[int, int]] = {}
+    def instantiate(self, pairs: dict, idx: int) -> None:
+        """Files each pair of the copy whose tree index is idx under its
+        node."""
         for key, entry in pairs.items():
             k = self.index.get(key)
             if k is None:
@@ -412,52 +396,30 @@ class _Template:
             slot = (min(pair), max(pair))
             assert slot not in self.pairs[k], "two copies assign one pair at a node"
             self.pairs[k][slot] = (idx, pair)
-            paired[k] = pair
-        if not paired:
-            return self.root
-
-        need: set[int] = set()
-        for k in paired:
-            while k != -1 and k not in need:
-                need.add(k)
-                k = self.parent[k]
-        clones: dict[int, SubNode] = {}
-        for k in sorted(need):  # preorder: parents first
-            node = self.nodes[k]
-            clone = SubNode(
-                node.members, node.level, node.children[:], paired.get(k),
-                None, node.tmin, node.tmax, node.depth, node.heavy,
-            )
-            clones[k] = clone
-            if k:
-                clones[self.parent[k]].children[self.rank[k]] = clone
-        return clones[0]
 
 
-def build_selection_labels(hpf, cover) -> tuple[list[SelectionLabel], list[SubNode]]:
-    """Per-vertex leaf stamps and apex lists over every template, and the
-    compressed subhierarchies, in the cover's tree order. One template is
-    built per (base hierarchy, top level), in order of first use, and
-    instantiated once per copy."""
+def build_selection_labels(hpf, cover) -> list[SelectionLabel]:
+    """Per-vertex leaf stamps and apex lists over every template. One
+    template is built per (base hierarchy, top level), in order of first
+    use in the cover's tree order, and each tree's copy, read from the
+    tree's provenance, files its pairs in its template."""
     n = hpf.graph.n
     templates: dict[tuple[int, int], _Template] = {}
     first: list[int] = []
-    subs: list[SubNode] = []
-    for copy in hpf.copies:
-        for level in hpf.top_tree_levels(copy.base_index):
-            tpl = templates.get((copy.base_index, level))
-            if tpl is None:
-                tpl = _Template(copy.base, level, hpf.ell, n)
-                templates[(copy.base_index, level)] = tpl
-                first.append(len(subs))
-            subs.append(tpl.instantiate(copy.pairs, len(subs)))
-    assert len(subs) == len(cover.trees), "subhierarchy/tree count mismatch"
+    for idx, tree in enumerate(cover.trees):
+        c, level = tree.provenance
+        copy = hpf.copies[c]
+        tpl = templates.get((copy.base_index, level))
+        if tpl is None:
+            tpl = _Template(copy.base, level, hpf.ell, n)
+            templates[(copy.base_index, level)] = tpl
+            first.append(idx)
+        tpl.instantiate(copy.pairs, idx)
     tpls = list(templates.values())
-    labels = [
+    return [
         SelectionLabel([t.stamps[v] for t in tpls], [t.apices[v] for t in tpls], first)
         for v in range(n)
     ]
-    return labels, subs
 
 
 def _deepest(recs: list[ApexRecord], lo: int, hi: int) -> Optional[ApexRecord]:
@@ -511,31 +473,6 @@ def select_tree(label_x: SelectionLabel, label_y: SelectionLabel) -> int:
     return best
 
 
-def lca_condition_bruteforce(root: SubNode, x: int, y: int):
-    """Walk the actual cluster tree; returns (holds, lca node) for a pair.
-    Reference oracle for the label-based decoding."""
-    node = root
-    while True:
-        nxt = None
-        for k in node.children:
-            if x in k.members and y in k.members:
-                nxt = k
-                break
-        if nxt is None:
-            break
-        node = nxt
-    if node.pair is None:
-        return False, node
-    i1, i2 = node.pair
-    cx = next(
-        i for i, k in enumerate(node.children) if x in k.members
-    )
-    cy = next(
-        i for i, k in enumerate(node.children) if y in k.members
-    )
-    return {cx, cy} == {i1, i2}, node
-
-
 # ---------------------------------------------------------------------------
 # the full scheme
 
@@ -548,7 +485,6 @@ class RoutingScheme:
     ports: PortAssignment
     states: list[TreeRoutingState]
     labels: list[SelectionLabel]
-    subhierarchies: list[SubNode]
     epsilon: float
     alpha: int
     beta: int
@@ -568,9 +504,9 @@ def build_routing_scheme(g: WeightedGraph, config=None, seed: int = 42) -> Routi
     alpha = measure_alpha(spanner)
     beta = routing_beta(alpha, epsilon)
     states = [build_tree_routing(t, ports, beta) for t in cover.tree_oracles(g)]
-    labels, subs = build_selection_labels(cover.hpf, cover)
+    labels = build_selection_labels(cover.hpf, cover)
     return RoutingScheme(
-        g, spanner, cover, ports, states, labels, subs, epsilon, alpha, beta
+        g, spanner, cover, ports, states, labels, epsilon, alpha, beta
     )
 
 

@@ -54,3 +54,22 @@ def flat_hierarchy(groups: list[list[int]]) -> Hierarchy:
 
 def unit_path(n: int) -> WeightedGraph:
     return WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+
+
+def selection_holds(scheme, idx: int, x: int, y: int) -> bool:
+    """Reference for tree selection, read off the hierarchy copies alone:
+    whether tree idx's copy assigns, at the lowest cluster of the tree's
+    level grid (top, top - ell, ..., 0) that holds both x and y, exactly
+    the pair of their two subclusters one grid step down."""
+    hpf = scheme.cover.hpf
+    c, level = scheme.cover.trees[idx].provenance
+    copy = hpf.copies[c]
+    hier = copy.base
+    while True:
+        sub = max(level - hpf.ell, 0)
+        cx, cy = hier.cluster_at(x, sub), hier.cluster_at(y, sub)
+        if cx != cy:
+            break
+        level = sub
+    entry = copy.pairs.get((level, hier.cluster_at(x, level)))
+    return entry is not None and {entry[0], entry[1]} == {cx, cy}

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import selection_holds
 from spantreecover.cli import main as cli_main
 from spantreecover.cover import (
     CoverConfig,
@@ -38,7 +39,6 @@ from spantreecover.oracle import build_oracle, query_distance, query_path
 from spantreecover.routing import (
     SelectionError,
     build_routing_scheme,
-    lca_condition_bruteforce,
     measure_sizes,
     route_end_to_end,
     select_tree,
@@ -309,8 +309,8 @@ def test_criterion_08_tree_selection(schemes):
                         brute = next(
                             (
                                 i
-                                for i, root in enumerate(scheme.subhierarchies)
-                                if lca_condition_bruteforce(root, x, y)[0]
+                                for i in range(len(scheme.states))
+                                if selection_holds(scheme, i, x, y)
                             ),
                             None,
                         )

@@ -165,6 +165,22 @@ def test_route_pairs_file_out_of_range(tmp_path, grid4_file, capsys, bad):
     assert f"vertex {bad} outside range(0, 16)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("0\n", "pairs file line 1: not enough values to unpack"),
+        ("0 15\n# comment\n\n3 x\n", "pairs file line 4: invalid literal"),
+        ("0 15\n5 16\n", "pairs file line 2: vertex 16 outside range(0, 16)"),
+    ],
+    ids=["one_value", "not_an_integer", "out_of_range"],
+)
+def test_route_pairs_file_bad_line_named(tmp_path, grid4_file, capsys, text, message):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text(text)
+    assert main(["route", "--graph", grid4_file, "--pairs", str(pairs)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_usage_errors(tmp_path, grid4_file):
     assert main(["cover", "--graph", grid4_file, "--epsilon", "2.0"]) == 2
     assert main(["frobnicate"]) == 2
@@ -337,6 +353,45 @@ def test_verify_one_vertex(tmp_path, one_vertex_file):
     assert all(doc["families"].values())
     assert doc["max_stretch"] == 1.0
     assert doc["worst_pair_gap"] is None
+
+
+@pytest.mark.parametrize("command", ["cover", "route"])
+def test_empty_graph_rejected(tmp_path, capsys, command):
+    p = tmp_path / "empty.txt"
+    p.write_text("0 0\n")
+    assert main([command, "--graph", str(p)]) == 2
+    assert "error: graph has no vertices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind,size",
+    [
+        ("path", "-5"),
+        ("path", "0"),
+        ("grid", "-3"),
+        ("random_geometric", "0"),
+        ("star_exponential", "2000"),
+    ],
+)
+def test_generate_rejects_bad_size(tmp_path, capsys, kind, size):
+    out = tmp_path / "g.txt"
+    assert main(["generate", kind, size, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_one_vertex_geometric(tmp_path):
+    out = tmp_path / "g.txt"
+    assert main(["generate", "random_geometric", "1", "--out", str(out)]) == 0
+    g = load_graph(str(out))
+    assert (g.n, g.m) == (1, 0)
+
+
+def test_generate_largest_star(tmp_path):
+    # the largest star whose heaviest weight, 2^1023, is a finite float
+    out = tmp_path / "star.txt"
+    assert main(["generate", "star_exponential", "1025", "--out", str(out)]) == 0
+    assert max(w for _, _, w in load_graph(str(out)).edges) == 2.0**1023
 
 
 def _reject_constant(name):

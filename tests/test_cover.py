@@ -1,7 +1,6 @@
 import copy as copymod
 import hashlib
 import json
-import math
 
 import numpy as np
 import pytest

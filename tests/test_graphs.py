@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spantreecover import graphs
+from spantreecover.cover import CoverConfig, span_tree_cover
 from spantreecover.graphs import (
     DisconnectedGraphError,
     MalformedLineError,
@@ -242,8 +243,6 @@ def test_block_paths_equal_dijkstra_paths(kind, params, seed, monkeypatch):
     # the build reads its paths off the csgraph blocks: every tree path and
     # every search towards pi that a checks-off build makes must be the
     # path of dijkstra's tie rule
-    from spantreecover.cover import CoverConfig, span_tree_cover
-
     tree_paths: dict[tuple[frozenset, int], dict[int, list]] = {}
     pi_paths: dict[tuple[frozenset, tuple, int], list] = {}
     path_to, path = graphs.ClusterTree.path_to, graphs.ClusterDistances.path
@@ -279,8 +278,6 @@ def test_checked_build_searches_each_cluster_once(monkeypatch):
     # checks: a checks-on build derives each (member set, source) tree once,
     # across hierarchies and copies, and makes no heap search
     import sys
-
-    from spantreecover.cover import CoverConfig, span_tree_cover
 
     derived, searches = [], []
     make_tree, search = graphs.ClusterTree, graphs.dijkstra

@@ -1,4 +1,5 @@
-"""Every package module uses each name it imports, and imports it once.
+"""Every package module, test file and demo uses each name it imports, and
+imports it once.
 
 ``__init__.py`` is skipped: its imports are re-exports.
 """
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spantreecover"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "spantreecover"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted(f"{d}/{p.name}" for d in ("tests", "demos") for p in (ROOT / d).glob("*.py"))
 
 
 def import_problems(source: str) -> list[str]:
@@ -46,3 +49,8 @@ def test_import_problems_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_are_used(module):
     assert import_problems((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_script_imports_are_used(script):
+    assert import_problems((ROOT / script).read_text(encoding="utf-8")) == []

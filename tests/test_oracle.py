@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -17,7 +16,6 @@ from spantreecover.cover import (
 )
 from spantreecover.graphs import WeightedGraph, apsp, dijkstra, generate, root_tree
 from spantreecover.oracle import (
-    OracleIndex,
     TreeOracle,
     build_oracle,
     query_distance,

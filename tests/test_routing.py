@@ -4,20 +4,17 @@ import sys
 
 import pytest
 
-from conftest import unit_path
+from conftest import selection_holds, unit_path
 from spantreecover import graphs
 from spantreecover.cover import CoverConfig, SpanningTree
 from spantreecover.graphs import WeightedGraph, apsp, generate, greedy_spanner
 from spantreecover.oracle import TreeOracle, build_oracle
 from spantreecover.routing import (
-    RouteTrace,
     RoutingScheme,
     SelectionError,
     assign_ports,
     build_routing_scheme,
-    build_selection_labels,
     build_tree_routing,
-    lca_condition_bruteforce,
     measure_alpha,
     measure_sizes,
     route_end_to_end,
@@ -229,7 +226,7 @@ def test_decision_outside_parent_goes_up():
 def manual_scheme(g, tree, beta, epsilon=0.5):
     ports = assign_ports(g, seed=11)
     state = build_tree_routing(view(g, tree), ports, beta)
-    return RoutingScheme(g, g, None, ports, [state], [], [], epsilon, 0, beta)
+    return RoutingScheme(g, g, None, ports, [state], [], epsilon, 0, beta)
 
 
 def test_simulate_source_equals_target(grid8_scheme):
@@ -358,10 +355,9 @@ def test_selection_decode_matches_bruteforce():
             # lookups, so it is decoded iff its template chose it
             lu, lv = scheme.labels[u], scheme.labels[v]
             chosen = {template_choice(lu, lv, j) for j in range(len(lu.stamps))}
-            for idx, root in enumerate(scheme.subhierarchies):
-                holds, _ = lca_condition_bruteforce(root, u, v)
+            for idx in range(len(scheme.states)):
                 decoded = idx in chosen
-                assert decoded == holds, (idx, u, v)
+                assert decoded == selection_holds(scheme, idx, u, v), (idx, u, v)
 
 
 def selection_digest(scheme):
@@ -393,15 +389,12 @@ def test_selection_pinned_rg64s1(rg64s1_scheme):
 
 
 def test_selection_sound(grid8_scheme):
-    # whenever an index is returned, the cluster tree genuinely satisfies
+    # whenever an index is returned, the hierarchy copy genuinely satisfies
     # the condition
     labels = grid8_scheme.labels
     for u, v in [(0, 63), (1, 2), (10, 53), (7, 56), (31, 32)]:
         idx = select_tree(labels[u], labels[v])
-        holds, _ = lca_condition_bruteforce(
-            grid8_scheme.subhierarchies[idx], u, v
-        )
-        assert holds
+        assert selection_holds(grid8_scheme, idx, u, v)
 
 
 def test_end_to_end_tree_input():
